@@ -29,6 +29,13 @@ func runArtifacts(t *testing.T, hosts, workers int, seed int64) (trace, metrics,
 	if err != nil {
 		t.Fatalf("hosts=%d workers=%d: %v", hosts, workers, err)
 	}
+	return artifactsOf(t, r, o)
+}
+
+// artifactsOf exports a finished observed run: the JSONL event stream, the
+// metrics registry JSON, and the run statistics JSON.
+func artifactsOf(t *testing.T, r *Result, o *Observation) (trace, metrics, stats []byte) {
+	t.Helper()
 	var tb, mb bytes.Buffer
 	if err := o.WriteJSONL(&tb); err != nil {
 		t.Fatal(err)
