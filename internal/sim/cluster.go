@@ -104,10 +104,11 @@ type Cluster struct {
 	stealAttempts atomic.Uint64
 	stealHits     atomic.Uint64
 
-	// pprof goroutine labels for the parallel window path, built lazily on
-	// first parallel window so -http CPU profiles attribute samples per
-	// shard/worker. The serial path never labels (it would cost allocations
-	// on the 0 allocs/op window loop).
+	// pprof goroutine labels for the parallel window path, so -http CPU
+	// profiles attribute samples per shard/worker. Both are built in
+	// NewCluster: the window's workers only read them, and a window never
+	// runs more workers than shards. The serial path never labels (it would
+	// cost allocations on the 0 allocs/op window loop).
 	shardLabels  []string
 	workerLabels []string
 }
@@ -135,9 +136,12 @@ func NewCluster(seed int64, shards int, window Time) *Cluster {
 		active:  make([]int, 0, shards),
 		errs:    make([]error, shards),
 	}
+	labels := make([]string, shards)
 	for i := range c.engines {
 		c.engines[i] = NewEngine(seedFor(seed, i))
+		labels[i] = strconv.Itoa(i)
 	}
+	c.shardLabels, c.workerLabels = labels, labels
 	return c
 }
 
@@ -182,25 +186,6 @@ func (c *Cluster) SetWindowObserver(o WindowObserver) {
 		c.rec.ShardBusyNs = make([]int64, n)
 		c.rec.ShardEvents = make([]uint64, n)
 	}
-}
-
-// shardLabel returns the cached pprof label value for shard i.
-func (c *Cluster) shardLabel(i int) string {
-	if c.shardLabels == nil {
-		c.shardLabels = make([]string, len(c.engines))
-		for s := range c.shardLabels {
-			c.shardLabels[s] = strconv.Itoa(s)
-		}
-	}
-	return c.shardLabels[i]
-}
-
-// workerLabel returns the cached pprof label value for worker w.
-func (c *Cluster) workerLabel(w int) string {
-	for len(c.workerLabels) <= w {
-		c.workerLabels = append(c.workerLabels, strconv.Itoa(len(c.workerLabels)))
-	}
-	return c.workerLabels[w]
 }
 
 // earliest returns the minimum next-event time across all shards.
@@ -349,7 +334,7 @@ func (c *Cluster) runShardsParallel(start time.Time, tel bool, deadline Time, wo
 				// which is noise next to a goroutine spawn but would break
 				// the serial window loop's 0 allocs/op.
 				pprof.Do(context.Background(),
-					pprof.Labels("cord_shard", c.shardLabel(i), "cord_worker", c.workerLabel(w)),
+					pprof.Labels("cord_shard", c.shardLabels[i], "cord_worker", c.workerLabels[w]),
 					func(context.Context) {
 						var s0 time.Duration
 						var e0 uint64

@@ -1,15 +1,19 @@
 package sim
 
 import (
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // chanExchanger is a minimal Exchanger for cluster tests: messages are
 // (time, destination shard, fn) triples buffered by the test and injected at
-// Flush in deterministic order.
+// Flush. Shards post from parallel window workers, so post locks; the
+// tests' outcomes do not depend on injection order.
 type chanExchanger struct {
 	c    *Cluster
+	mu   sync.Mutex
 	msgs []xchMsg
 }
 
@@ -20,6 +24,8 @@ type xchMsg struct {
 }
 
 func (x *chanExchanger) post(at Time, dst int, fn func()) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
 	x.msgs = append(x.msgs, xchMsg{at: at, dst: dst, fn: fn})
 }
 
@@ -323,4 +329,38 @@ func benchCluster(b *testing.B, workers int) {
 	b.StopTimer()
 	stop = true
 	_ = c.Run(1, nil)
+}
+
+// TestClusterLabelsCompleteBeforeParallelWindow: the parallel window's
+// workers read the pprof label caches concurrently, so both caches must be
+// complete — one label per shard, and one per worker a window can run —
+// before the first window starts. Filling them lazily from inside the
+// workers is a data race.
+func TestClusterLabelsCompleteBeforeParallelWindow(t *testing.T) {
+	const shards = 4
+	c := NewCluster(1, shards, 10)
+	check := func(when string) {
+		t.Helper()
+		if len(c.shardLabels) != shards || len(c.workerLabels) < shards {
+			t.Fatalf("%s: %d shard labels and %d worker labels, want %d of each",
+				when, len(c.shardLabels), len(c.workerLabels), shards)
+		}
+		for i := 0; i < shards; i++ {
+			if want := strconv.Itoa(i); c.shardLabels[i] != want || c.workerLabels[i] != want {
+				t.Fatalf("%s: label %d = %q/%q, want %q", when, i, c.shardLabels[i], c.workerLabels[i], want)
+			}
+		}
+	}
+	check("before Run")
+	var ran atomic.Int32
+	for _, e := range c.Engines() {
+		e.Schedule(0, func() { ran.Add(1) })
+	}
+	if err := c.Run(shards, nil); err != nil {
+		t.Fatal(err)
+	}
+	if ran.Load() != shards {
+		t.Fatalf("%d of %d shard events ran", ran.Load(), shards)
+	}
+	check("after a parallel window")
 }
