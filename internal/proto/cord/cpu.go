@@ -15,25 +15,19 @@ import (
 // cpu is the CORD processor-side adapter (Alg. 1). Every ordering decision —
 // admission, provisioning, release/barrier fan-out, acknowledgment
 // bookkeeping — is delegated to core.CordProc, the rule set the litmus model
-// checker explores; this type owns only timing, wire formats, NoC injection,
-// stats, and obs events.
+// checker explores; this type owns only timing, NoC injection, stats, and
+// obs events. The messages it sends are the core rules' core.Msg values.
 type cpu struct {
 	proto.ProcBase
 	cfg Config
 	cp  core.CordParams
 
 	// st is the protocol-visible state (epoch, store counters, unacked-epoch
-	// table), mutated exclusively through core rules.
+	// table), mutated exclusively through core rules. Directories are named
+	// by their dense index (proto.System.Index).
 	st core.CordProc
-	// tiles maps between noc.NodeID and the core rules' dense indices
-	// (host*tiles+tile), whose ascending order matches noc.SortIDs.
-	tiles int
 	// buf is the reusable fan-out scratch passed to core emit rules.
 	buf []core.Msg
-
-	// blocked is the re-check continuation of a stalled op (at most one op
-	// is in flight per core).
-	blocked func()
 
 	occCnt     *stats.Occupancy
 	occUnacked *stats.Occupancy
@@ -64,12 +58,10 @@ type cpu struct {
 }
 
 func newCPU(sys *proto.System, id noc.NodeID, ps *stats.ProcStats, cfg Config, cp core.CordParams) *cpu {
-	nc := sys.Net.Config()
 	c := &cpu{
 		cfg:        cfg,
 		cp:         cp,
-		st:         core.NewCordProc(nc.Hosts * nc.TilesPerHost),
-		tiles:      nc.TilesPerHost,
+		st:         core.NewCordProc(sys.Nodes()),
 		occCnt:     stats.NewOccupancy("proc/store-counter", procCntEntryBytes),
 		occUnacked: stats.NewOccupancy("proc/unacked-epoch", procUnackedEntryBytes),
 		atomicWait: make(map[uint64]func()),
@@ -83,25 +75,24 @@ func newCPU(sys *proto.System, id noc.NodeID, ps *stats.ProcStats, cfg Config, c
 	return c
 }
 
-// ix is the dense index of a node (core or directory) for the core rules.
-func (c *cpu) ix(id noc.NodeID) int { return id.Host*c.tiles + id.Tile }
-
-// dirAt is ix's inverse for directories.
-func (c *cpu) dirAt(ix int) noc.NodeID { return noc.DirID(ix/c.tiles, ix%c.tiles) }
-
 func (c *cpu) handle(_ noc.NodeID, payload any) {
-	switch m := payload.(type) {
-	case *proto.LoadResp:
+	switch m := payload.(*core.Msg); m.Kind {
+	case core.MLoadResp:
 		c.HandleLoadResp(m)
-	case *ackMsg:
+	case core.MAck:
 		c.onAck(m)
-	case *wbAckMsg:
-		c.onWBAck(m)
-	case *atomicRespMsg:
+	case core.MWBAck:
+		c.onWBAck()
+	case core.MAtomicResp:
 		c.onAtomicResp(m)
 	default:
-		panic(fmt.Sprintf("cord: cpu %v got unexpected message %T", c.ID, payload))
+		panic(fmt.Sprintf("cord: cpu %v got unexpected message kind %d", c.ID, m.Kind))
 	}
+}
+
+// send puts a message on the wire to its directory, m.Dir.
+func (c *cpu) send(m core.Msg, class stats.MsgClass, bytes int) {
+	c.Sys.Net.Send(c.ID, c.Sys.DirAt(m.Dir), class, bytes, &m)
 }
 
 func (c *cpu) exec(op proto.Op, next func()) {
@@ -142,8 +133,8 @@ func (c *cpu) execRelaxed(op proto.Op, next func()) {
 		next()
 		return
 	}
-	d := c.Sys.Map.HomeOf(op.Addr)
-	switch c.st.RelaxedAdmit(c.cp, c.ix(d)) {
+	d := c.Sys.Index(c.Sys.Map.HomeOf(op.Addr))
+	switch c.st.RelaxedAdmit(c.cp, d) {
 	case core.AdmitOverflow:
 		// Store-counter overflow (§4.1): flush — inject an empty Release to
 		// d and stall until it is acknowledged, resetting the counter.
@@ -155,22 +146,22 @@ func (c *cpu) execRelaxed(op proto.Op, next func()) {
 		c.flushThen(d, stats.StallTableFull, func() { c.execRelaxed(op, next) })
 		return
 	}
-	ep, newEntry := c.st.NoteRelaxed(c.ix(d))
+	ep, newEntry := c.st.NoteRelaxed(d)
 	if newEntry {
 		c.occCnt.Inc()
 	}
 	c.wcAddr, c.wcValid = op.Addr, true
-	c.Sys.Net.Send(c.ID, d, stats.ClassRelaxedData,
-		proto.HeaderBytes+op.Size+c.cfg.RelaxedOverhead(),
-		&relaxedMsg{Src: c.ID, Ep: ep, Addr: op.Addr, Value: op.Value, Size: op.Size})
+	c.send(core.Msg{Kind: core.MRelaxed, Src: c.Ix, Dir: d, Ep: ep,
+		Addr: uint64(op.Addr), Val: op.Value, Size: op.Size},
+		stats.ClassRelaxedData, proto.HeaderBytes+op.Size+c.cfg.RelaxedOverhead())
 	next()
 }
 
 // flushThen performs an empty Release to dir d (full Release semantics so
 // every pending directory's tables are finalized), stalls the core until it
 // is acknowledged, then resumes.
-func (c *cpu) flushThen(d noc.NodeID, kind stats.StallKind, resume func()) {
-	if !c.st.Provisioned(c.cp, c.ix(d)) {
+func (c *cpu) flushThen(d int, kind stats.StallKind, resume func()) {
+	if !c.st.Provisioned(c.cp, d) {
 		c.stallProvision(d, func() { c.flushThen(d, kind, resume) })
 		return
 	}
@@ -178,23 +169,22 @@ func (c *cpu) flushThen(d noc.NodeID, kind stats.StallKind, resume func()) {
 	flushOp := proto.Op{Kind: proto.OpStoreWT, Ord: proto.Release, Size: 0}
 	c.issueRelease(flushOp, d, func() {
 		flushedEp := c.st.Ep - 1
-		c.stallWhile(func() bool { return c.st.EpochLive(flushedEp) }, kind, resume)
+		c.StallWhile(func() bool { return c.st.EpochLive(flushedEp) }, kind, resume)
 	})
 }
 
 // --- Release path (Alg. 1 lines 5-13) -------------------------------------
 
 func (c *cpu) execRelease(op proto.Op, next func()) {
-	d := c.Sys.Map.HomeOf(op.Addr)
-	di := c.ix(d)
-	if !c.st.Provisioned(c.cp, di) {
+	d := c.Sys.Index(c.Sys.Map.HomeOf(op.Addr))
+	if !c.st.Provisioned(c.cp, d) {
 		c.stallProvision(d, func() { c.execRelease(op, next) })
 		return
 	}
-	if c.cp.NoNotifications && (c.st.DirtyOutside(di) || c.st.UnackedOutside(di)) {
+	if c.cp.NoNotifications && (c.st.DirtyOutside(d) || c.st.UnackedOutside(d)) {
 		// Ablation: without inter-directory notifications, multi-directory
 		// epochs are source-ordered — drain other directories first.
-		c.execBarrierExcept(di, func() { c.execRelease(op, next) })
+		c.execBarrierExcept(d, func() { c.execRelease(op, next) })
 		return
 	}
 	c.issueRelease(op, d, next)
@@ -205,9 +195,9 @@ func (c *cpu) execRelease(op proto.Op, next func()) {
 // current epoch), then a stall for all outstanding acknowledgments not
 // bound for it. Used only by the NoNotifications ablation.
 func (c *cpu) execBarrierExcept(except int, next func()) {
-	msgs, ok, bad := c.st.IssueBarrier(c.cp, except, c.ix(c.ID), c.buf[:0])
+	msgs, ok, bad := c.st.IssueBarrier(c.cp, except, c.Ix, c.buf[:0])
 	if !ok {
-		c.stallProvision(c.dirAt(bad), func() { c.execBarrierExcept(except, next) })
+		c.stallProvision(bad, func() { c.execBarrierExcept(except, next) })
 		return
 	}
 	c.buf = msgs
@@ -223,61 +213,42 @@ func (c *cpu) execBarrierExcept(except int, next func()) {
 		next()
 		return
 	}
-	c.stallWhile(func() bool { return c.st.UnackedOutside(except) },
+	c.StallWhile(func() bool { return c.st.UnackedOutside(except) },
 		stats.StallAckWait, next)
 }
 
 // sendBarriers injects core-emitted empty Releases onto the NoC.
 func (c *cpu) sendBarriers(msgs []core.Msg) {
-	for i := range msgs {
-		m := &msgs[i]
-		rel := &releaseMsg{Src: c.ID, Ep: m.Ep, Cnt: m.Cnt, Barrier: true,
-			HasPrev: m.HasPrev, PrevEp: m.PrevEp}
-		c.Sys.Net.Send(c.ID, c.dirAt(m.Dir), stats.ClassBarrier,
-			proto.HeaderBytes+c.cfg.ReleaseOverhead(), rel)
+	for _, m := range msgs {
+		c.send(m, stats.ClassBarrier, proto.HeaderBytes+c.cfg.ReleaseOverhead())
 	}
 }
 
-func (c *cpu) stallProvision(d noc.NodeID, retry func()) {
+// stallProvision blocks the core until directory d is provisioned for one
+// more Release (§4.3), then retries. The caller found it unprovisioned.
+func (c *cpu) stallProvision(d int, retry func()) {
 	kind := stats.StallTableFull
 	if c.st.WindowBlocked(c.cp) {
 		kind = stats.StallOverflow
 	}
-	if c.blocked != nil {
-		panic("cord: core blocked twice")
-	}
-	resume := c.StallUntil(kind, retry)
-	c.blocked = func() {
-		if c.st.Provisioned(c.cp, c.ix(d)) {
-			c.blocked = nil
-			resume()
-		}
-	}
+	c.StallWhile(func() bool { return !c.st.Provisioned(c.cp, d) }, kind, retry)
 }
 
 // issueRelease delegates the Release (and its notification fan-out) to the
 // core rule and injects the emitted messages in order. The caller has
 // already verified provisioning.
-func (c *cpu) issueRelease(op proto.Op, d noc.NodeID, next func()) {
+func (c *cpu) issueRelease(op proto.Op, d int, next func()) {
 	ep := c.st.Ep
 	live := c.st.CntLive
-	rel := core.Msg{Src: c.ix(c.ID), Addr: uint64(op.Addr), Val: op.Value,
+	rel := core.Msg{Src: c.Ix, Addr: uint64(op.Addr), Val: op.Value,
 		Size: op.Size, Barrier: op.Size == 0, Atomic: op.Kind == proto.OpAtomic}
-	msgs := c.st.IssueRelease(c.ix(d), rel, c.buf[:0])
-	for i := range msgs {
-		m := &msgs[i]
+	msgs := c.st.IssueRelease(d, rel, c.buf[:0])
+	for _, m := range msgs {
 		if m.Kind == core.MReqNotify {
-			w := &reqNotifyMsg{Src: c.ID, Ep: m.Ep, RelaxedCnt: m.Cnt, Dst: d,
-				HasPrev: m.HasPrev, PrevEp: m.PrevEp}
-			c.Sys.Net.Send(c.ID, c.dirAt(m.Dir), stats.ClassReqNotify,
-				proto.ReqNotifyBytes, w)
+			c.send(m, stats.ClassReqNotify, proto.ReqNotifyBytes)
 			continue
 		}
-		w := &releaseMsg{Src: c.ID, Ep: m.Ep, Cnt: m.Cnt, NotiCnt: m.NotiCnt,
-			Addr: op.Addr, Value: op.Value, Size: op.Size, Barrier: m.Barrier,
-			Atomic: m.Atomic, HasPrev: m.HasPrev, PrevEp: m.PrevEp}
-		c.Sys.Net.Send(c.ID, d, stats.ClassReleaseData,
-			proto.HeaderBytes+op.Size+c.cfg.ReleaseOverhead(), w)
+		c.send(m, stats.ClassReleaseData, proto.HeaderBytes+op.Size+c.cfg.ReleaseOverhead())
 	}
 	c.buf = msgs
 	c.occUnacked.Inc()
@@ -303,29 +274,28 @@ func (c *cpu) execAtomic(op proto.Op, next func()) {
 	if c.Sys.Mode == proto.TSO && ord == proto.Relaxed {
 		ord = proto.Release
 	}
-	d := c.Sys.Map.HomeOf(op.Addr)
-	di := c.ix(d)
+	d := c.Sys.Index(c.Sys.Map.HomeOf(op.Addr))
 	if ord == proto.Release || ord == proto.SeqCst {
-		if !c.st.Provisioned(c.cp, di) {
+		if !c.st.Provisioned(c.cp, d) {
 			c.stallProvision(d, func() { c.execAtomic(op, next) })
 			return
 		}
-		if c.cp.NoNotifications && (c.st.DirtyOutside(di) || c.st.UnackedOutside(di)) {
-			c.execBarrierExcept(di, func() { c.execAtomic(op, next) })
+		if c.cp.NoNotifications && (c.st.DirtyOutside(d) || c.st.UnackedOutside(d)) {
+			c.execBarrierExcept(d, func() { c.execAtomic(op, next) })
 			return
 		}
 		aop := op
 		aop.Ord = proto.Release
 		c.issueRelease(aop, d, func() {
 			ep := c.st.Ep - 1
-			c.stallWhile(func() bool { return c.st.EpochLive(ep) },
+			c.StallWhile(func() bool { return c.st.EpochLive(ep) },
 				stats.StallAcquire, next)
 		})
 		return
 	}
 	// Relaxed atomic: epoch-counted like a Relaxed store, plus the blocking
 	// value response.
-	switch c.st.RelaxedAdmit(c.cp, di) {
+	switch c.st.RelaxedAdmit(c.cp, d) {
 	case core.AdmitOverflow:
 		c.flushThen(d, stats.StallOverflow, func() { c.execAtomic(op, next) })
 		return
@@ -333,7 +303,7 @@ func (c *cpu) execAtomic(op proto.Op, next func()) {
 		c.flushThen(d, stats.StallTableFull, func() { c.execAtomic(op, next) })
 		return
 	}
-	ep, newEntry := c.st.NoteRelaxed(di)
+	ep, newEntry := c.st.NoteRelaxed(d)
 	if newEntry {
 		c.occCnt.Inc()
 	}
@@ -341,13 +311,12 @@ func (c *cpu) execAtomic(op proto.Op, next func()) {
 	c.atomicTag++
 	tag := c.atomicTag
 	c.atomicWait[tag] = c.StallUntil(stats.StallAcquire, next)
-	c.Sys.Net.Send(c.ID, d, stats.ClassAtomic,
-		proto.HeaderBytes+op.Size+c.cfg.RelaxedOverhead(),
-		&relaxedMsg{Src: c.ID, Ep: ep, Addr: op.Addr, Value: op.Value,
-			Size: op.Size, Atomic: true, Tag: tag})
+	c.send(core.Msg{Kind: core.MRelaxed, Src: c.Ix, Dir: d, Ep: ep,
+		Addr: uint64(op.Addr), Val: op.Value, Size: op.Size, Atomic: true, Tag: tag},
+		stats.ClassAtomic, proto.HeaderBytes+op.Size+c.cfg.RelaxedOverhead())
 }
 
-func (c *cpu) onAtomicResp(m *atomicRespMsg) {
+func (c *cpu) onAtomicResp(m *core.Msg) {
 	cont, ok := c.atomicWait[m.Tag]
 	if !ok {
 		panic("cord: unknown atomic response tag")
@@ -377,16 +346,8 @@ func (c *cpu) execWriteBack(op proto.Op, next func()) {
 	}
 	// Source ordering of the write-back Release against prior write-backs.
 	if c.wbPending > 0 {
-		if c.blocked != nil {
-			panic("cord: core blocked twice")
-		}
-		resume := c.StallUntil(stats.StallAckWait, func() { c.execWriteBack(op, next) })
-		c.blocked = func() {
-			if c.wbPending == 0 {
-				c.blocked = nil
-				resume()
-			}
-		}
+		c.StallWhile(func() bool { return c.wbPending > 0 }, stats.StallAckWait,
+			func() { c.execWriteBack(op, next) })
 		return
 	}
 	c.sendWB(op)
@@ -397,19 +358,17 @@ func (c *cpu) sendWB(op proto.Op) {
 	c.wbNextTag++
 	c.wbPending++
 	c.wcValid = false
-	home := c.Sys.Map.HomeOf(op.Addr)
-	c.Sys.Net.Send(c.ID, home, stats.ClassWriteback, proto.HeaderBytes+op.Size,
-		&wbMsg{Src: c.ID, Addr: op.Addr, Value: op.Value, Size: op.Size, Tag: c.wbNextTag})
+	c.send(core.Msg{Kind: core.MWBData, Src: c.Ix, Dir: c.Sys.Index(c.Sys.Map.HomeOf(op.Addr)),
+		Addr: uint64(op.Addr), Val: op.Value, Size: op.Size, Tag: c.wbNextTag},
+		stats.ClassWriteback, proto.HeaderBytes+op.Size)
 }
 
-func (c *cpu) onWBAck(*wbAckMsg) {
+func (c *cpu) onWBAck() {
 	if c.wbPending == 0 {
 		panic("cord: spurious write-back ack")
 	}
 	c.wbPending--
-	if c.blocked != nil {
-		c.blocked()
-	}
+	c.Recheck()
 }
 
 // --- Release / SC barrier (§4.4) ------------------------------------------
@@ -422,9 +381,9 @@ func (c *cpu) onWBAck(*wbAckMsg) {
 // new message — their existing ack suffices.
 func (c *cpu) execBarrier(next func()) {
 	live := c.st.CntLive
-	msgs, ok, bad := c.st.IssueBarrier(c.cp, -1, c.ix(c.ID), c.buf[:0])
+	msgs, ok, bad := c.st.IssueBarrier(c.cp, -1, c.Ix, c.buf[:0])
 	if !ok {
-		c.stallProvision(c.dirAt(bad), func() { c.execBarrier(next) })
+		c.stallProvision(bad, func() { c.execBarrier(next) })
 		return
 	}
 	c.buf = msgs
@@ -440,31 +399,13 @@ func (c *cpu) execBarrier(next func()) {
 		next()
 		return
 	}
-	c.stallWhile(func() bool { return len(c.st.Unacked) > 0 },
+	c.StallWhile(func() bool { return len(c.st.Unacked) > 0 },
 		stats.StallRelease, next)
-}
-
-// stallWhile blocks the core until cond turns false, charging kind.
-func (c *cpu) stallWhile(cond func() bool, kind stats.StallKind, resume func()) {
-	if !cond() {
-		resume()
-		return
-	}
-	if c.blocked != nil {
-		panic("cord: core blocked twice")
-	}
-	cont := c.StallUntil(kind, resume)
-	c.blocked = func() {
-		if !cond() {
-			c.blocked = nil
-			cont()
-		}
-	}
 }
 
 // --- Acknowledgments (Alg. 1 lines 14-15) ---------------------------------
 
-func (c *cpu) onAck(m *ackMsg) {
+func (c *cpu) onAck(m *core.Msg) {
 	if c.st.AckRelease(m.Ep) {
 		c.occUnacked.Dec()
 		var lat sim.Time
@@ -478,7 +419,5 @@ func (c *cpu) onAck(m *ackMsg) {
 				Src: c.ID.Obs(), Seq: m.Ep, Dur: lat})
 		}
 	}
-	if c.blocked != nil {
-		c.blocked()
-	}
+	c.Recheck()
 }

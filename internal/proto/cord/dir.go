@@ -15,7 +15,7 @@ import (
 // slice's directory. Eligibility, commit bookkeeping, notification serving,
 // and the recycle fixpoint are all core.CordDir rules — the same rules the
 // litmus model checker explores; this type owns timing (scheduled LLC
-// commits), wire formats, stats, and obs events.
+// commits), NoC injection, stats, and obs events.
 type dir struct {
 	proto.DirBase
 	cfg Config
@@ -23,9 +23,6 @@ type dir struct {
 	// st holds the protocol-visible tables (store counters, notification
 	// counters, largest committed epochs, recycle buffers).
 	st core.CordDir
-	// self is this directory's dense index; tiles maps node IDs to indices.
-	self  int
-	tiles int
 
 	occCnt, occNoti, occLargest, occNetBuf *stats.Occupancy
 
@@ -35,12 +32,9 @@ type dir struct {
 }
 
 func newDir(sys *proto.System, id noc.NodeID, cfg Config) *dir {
-	nc := sys.Net.Config()
 	d := &dir{
 		cfg:        cfg,
-		st:         core.NewCordDir(nc.Hosts * nc.TilesPerHost),
-		self:       id.Host*nc.TilesPerHost + id.Tile,
-		tiles:      nc.TilesPerHost,
+		st:         core.NewCordDir(sys.Nodes()),
 		occCnt:     stats.NewOccupancy("dir/store-counter", dirCntEntryBytes),
 		occNoti:    stats.NewOccupancy("dir/notification-counter", dirNotiEntryBytes),
 		occLargest: stats.NewOccupancy("dir/largest-epoch", dirLargestEpEntryBytes),
@@ -54,32 +48,27 @@ func newDir(sys *proto.System, id noc.NodeID, cfg Config) *dir {
 	return d
 }
 
-// pix is the dense index of a processor for the core rules.
-func (d *dir) pix(id noc.NodeID) int { return id.Host*d.tiles + id.Tile }
-
-// coreAt is pix's inverse: the core rules identify processors by dense
-// index; acknowledgments travel back to the matching core node.
-func (d *dir) coreAt(ix int) noc.NodeID { return noc.CoreID(ix/d.tiles, ix%d.tiles) }
-
 func (d *dir) handle(src noc.NodeID, payload any) {
-	switch m := payload.(type) {
-	case *proto.LoadReq:
-		d.HandleLoadReq(m)
-	case *relaxedMsg:
-		d.onRelaxed(m)
-	case *releaseMsg:
-		d.onRelease(m)
-	case *reqNotifyMsg:
-		d.onReqNotify(m)
-	case *notifyMsg:
+	switch m := payload.(*core.Msg); m.Kind {
+	case core.MLoadReq:
+		d.HandleLoadReq(src, m)
+	case core.MRelaxed:
+		d.onRelaxed(src, m)
+	case core.MRelease:
+		d.onRelease(src, m)
+	case core.MReqNotify:
+		d.onReqNotify(src, m)
+	case core.MNotify:
 		d.onNotify(m)
-	case *wbMsg:
+	case core.MWBData:
+		// Source-ordered write-back store (§4.4): commit, then acknowledge.
 		d.Eng.Schedule(d.Sys.Timing.CommitLatency(), func() {
-			d.CommitValue(m.Addr, m.Value)
-			d.Sys.Net.Send(d.ID, m.Src, stats.ClassAck, proto.AckBytes, &wbAckMsg{Tag: m.Tag})
+			d.CommitValue(memsys.Addr(m.Addr), m.Val)
+			d.Sys.Net.Send(d.ID, src, stats.ClassAck, proto.AckBytes,
+				&core.Msg{Kind: core.MWBAck, Src: m.Src, Dir: d.Ix, Tag: m.Tag})
 		})
 	default:
-		panic(fmt.Sprintf("cord: dir %v got unexpected message %T from %v", d.ID, payload, src))
+		panic(fmt.Sprintf("cord: dir %v got unexpected message kind %d from %v", d.ID, m.Kind, src))
 	}
 }
 
@@ -88,45 +77,36 @@ func (d *dir) handle(src noc.NodeID, payload any) {
 // bumps right away, and the LLC write pipelines behind it. A Release that
 // becomes eligible on this count schedules its own commit at least one
 // commit latency later, so its LLC write never overtakes this one.
-func (d *dir) onRelaxed(m *relaxedMsg) {
-	if d.st.NoteRelaxed(d.pix(m.Src), m.Ep) {
+func (d *dir) onRelaxed(src noc.NodeID, m *core.Msg) {
+	if d.st.NoteRelaxed(m.Src, m.Ep) {
 		d.occCnt.Inc()
 	}
 	if rec := d.Obs; rec.Take() {
 		// The store is directory-ordered the moment its counter bumps.
 		rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KOrdered,
-			Src: d.ID.Obs(), Dst: m.Src.Obs(), Seq: m.Ep, Addr: uint64(m.Addr)})
+			Src: d.ID.Obs(), Dst: src.Obs(), Seq: m.Ep, Addr: m.Addr})
 	}
 	d.Eng.Schedule(d.Sys.Timing.CommitLatency(), func() {
 		if m.Atomic {
-			old := d.FetchAdd(m.Addr, m.Value)
-			d.Sys.Net.Send(d.ID, m.Src, stats.ClassAtomicResp, proto.AckBytes+8,
-				&atomicRespMsg{Tag: m.Tag, Old: old})
+			old := d.FetchAdd(memsys.Addr(m.Addr), m.Val)
+			d.Sys.Net.Send(d.ID, src, stats.ClassAtomicResp, proto.AckBytes+8,
+				&core.Msg{Kind: core.MAtomicResp, Src: m.Src, Dir: d.Ix, Val: old, Tag: m.Tag})
 			return
 		}
-		d.CommitValue(m.Addr, m.Value)
+		d.CommitValue(memsys.Addr(m.Addr), m.Val)
 	})
 	d.reeval()
 }
 
-// relCore translates an arrived Release to the core vocabulary.
-func (d *dir) relCore(m *releaseMsg) core.Msg {
-	return core.Msg{Kind: core.MRelease, Src: d.pix(m.Src), Dir: d.self,
-		Ep: m.Ep, Cnt: m.Cnt, HasPrev: m.HasPrev, PrevEp: m.PrevEp,
-		NotiCnt: m.NotiCnt, Addr: uint64(m.Addr), Val: m.Value, Size: m.Size,
-		Barrier: m.Barrier, Atomic: m.Atomic}
-}
-
 // onRelease commits an eligible Release store or recycles it (Alg. 2 21-24).
-func (d *dir) onRelease(m *releaseMsg) {
-	cm := d.relCore(m)
-	if !d.st.ReleaseEligible(cm) {
-		d.st.BufferRelease(cm)
+func (d *dir) onRelease(src noc.NodeID, m *core.Msg) {
+	if !d.st.ReleaseEligible(*m) {
+		d.st.BufferRelease(*m)
 		d.occNetBuf.Inc()
-		d.noteRetry(stats.ClassReleaseData, m.Src, m.Ep)
+		d.noteRetry(stats.ClassReleaseData, src, m.Ep)
 		return
 	}
-	d.commitRelease(cm)
+	d.commitRelease(*m)
 }
 
 // noteRetry records a recycle-buffer admission: the depth for the metrics
@@ -161,7 +141,7 @@ func (d *dir) commitRelease(cm core.Msg) {
 		if freedNoti {
 			d.occNoti.Dec()
 		}
-		src := d.coreAt(cm.Src)
+		src := d.Sys.CoreAt(cm.Src)
 		class, size := stats.ClassAck, proto.AckBytes
 		if cm.Atomic {
 			class, size = stats.ClassAtomicResp, proto.AckBytes+8
@@ -170,34 +150,29 @@ func (d *dir) commitRelease(cm core.Msg) {
 			rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KRelCommit,
 				Src: d.ID.Obs(), Dst: src.Obs(), Seq: cm.Ep, Addr: cm.Addr})
 		}
-		d.Sys.Net.Send(d.ID, src, class, size, &ackMsg{Ep: cm.Ep})
+		d.Sys.Net.Send(d.ID, src, class, size,
+			&core.Msg{Kind: core.MAck, Src: cm.Src, Dir: d.Ix, Ep: cm.Ep})
 		d.reeval()
 	})
 }
 
 // onReqNotify forwards a notification to the destination directory once the
 // local pending stores commit (Alg. 2 lines 25-28).
-func (d *dir) onReqNotify(m *reqNotifyMsg) {
-	cm := core.Msg{Kind: core.MReqNotify, Src: d.pix(m.Src), Dir: d.self,
-		Dst: d.pixDir(m.Dst), Ep: m.Ep, Cnt: m.RelaxedCnt,
-		HasPrev: m.HasPrev, PrevEp: m.PrevEp}
-	if !d.st.ReqEligible(cm) {
-		d.st.BufferReq(cm)
+func (d *dir) onReqNotify(src noc.NodeID, m *core.Msg) {
+	if !d.st.ReqEligible(*m) {
+		d.st.BufferReq(*m)
 		d.occNetBuf.Inc()
-		d.noteRetry(stats.ClassReqNotify, m.Src, m.Ep)
+		d.noteRetry(stats.ClassReqNotify, src, m.Ep)
 		return
 	}
-	d.serveNotify(cm)
+	d.serveNotify(*m)
 }
-
-// pixDir is the dense index of a directory node.
-func (d *dir) pixDir(id noc.NodeID) int { return id.Host*d.tiles + id.Tile }
 
 // serveNotify consumes an eligible request-for-notification through the core
 // rule: the store-counter entry retires (§4.3) and the notification either
 // goes on the wire or — for a degenerate self-notification — is absorbed.
 func (d *dir) serveNotify(cm core.Msg) {
-	out, wire, freedCnt, selfNew := d.st.SendNotify(cm, d.self)
+	out, wire, freedCnt, selfNew := d.st.SendNotify(cm, d.Ix)
 	if freedCnt {
 		d.occCnt.Dec()
 	}
@@ -213,19 +188,18 @@ func (d *dir) serveNotify(cm core.Msg) {
 
 // wireNotify sends a core-emitted notification to its destination directory.
 func (d *dir) wireNotify(out core.Msg) {
-	dst := noc.DirID(out.Dir/d.tiles, out.Dir%d.tiles)
+	dst := d.Sys.DirAt(out.Dir)
 	if rec := d.Obs; rec.Take() {
 		rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KNotify,
 			Src: d.ID.Obs(), Dst: dst.Obs(), Seq: out.Ep})
 	}
-	d.Sys.Net.Send(d.ID, dst, stats.ClassNotify, proto.NotifyBytes,
-		&notifyMsg{Src: d.coreAt(out.Src), Ep: out.Ep})
+	d.Sys.Net.Send(d.ID, dst, stats.ClassNotify, proto.NotifyBytes, &out)
 }
 
 // onNotify counts a notification toward the corresponding Release
 // (Alg. 2 lines 29-30).
-func (d *dir) onNotify(m *notifyMsg) {
-	if d.st.NoteNotify(d.pix(m.Src), m.Ep) {
+func (d *dir) onNotify(m *core.Msg) {
+	if d.st.NoteNotify(m.Src, m.Ep) {
 		d.occNoti.Inc()
 	}
 	d.reeval()
@@ -238,7 +212,7 @@ func (d *dir) onNotify(m *notifyMsg) {
 // fixpoint, so the deferred updates are indistinguishable.
 func (d *dir) reeval() {
 	cntB, notiB, reqB := len(d.st.Cnt), len(d.st.Noti), len(d.st.PendingReq)
-	d.st.Reeval(d.self,
+	d.st.Reeval(d.Ix,
 		func(m core.Msg) { d.occNetBuf.Dec(); d.commitRelease(m) },
 		func(out core.Msg) { d.wireNotify(out) },
 		func() { d.Recycles++ })

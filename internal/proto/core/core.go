@@ -7,8 +7,10 @@
 // Two very different drivers consume the same rules:
 //
 //   - The simulator (internal/proto/{cord,so,mp,wb}) wraps each state struct
-//     in an adapter that owns timing, wire formats, NoC injection, stats and
-//     obs events, and delegates every protocol *decision* here.
+//     in an adapter that owns timing, NoC injection, stats and obs events,
+//     and delegates every protocol *decision* here. Msg is the simulator's
+//     wire format: every message the adapters put on the NoC is a *Msg,
+//     except WB's dirty-line write-back, which carries a whole line's words.
 //   - The model checker (internal/litmus) explores the rules exhaustively
 //     over a world of per-core and per-directory states plus an in-flight
 //     message multiset.
@@ -17,10 +19,10 @@
 // logic cordsim measures, not a transcription of it (DESIGN.md §9).
 //
 // Conventions: processors and directories are identified by dense indices.
-// The simulator maps noc.NodeID{Host, Tile} to host*TilesPerHost+tile, so
-// ascending index order coincides with noc.SortIDs order and rules that emit
-// fan-outs in ascending index order reproduce the simulator's deterministic
-// send order without sorting.
+// The simulator maps noc.NodeID{Host, Tile} to host*TilesPerHost+tile
+// (proto.System.Index), so ascending index order coincides with noc.SortIDs
+// order and rules that emit fan-outs in ascending index order reproduce the
+// simulator's deterministic send order without sorting.
 package core
 
 // MsgKind names every protocol message the rules can emit or consume.
@@ -50,11 +52,16 @@ const (
 	MWBData // dirty-line write-back (checker: one addr per line)
 	MWBFlag // write-through flag/release store
 	MWBAck  // write-back / flag acknowledgment
+
+	// Acquire polling, shared by every protocol (simulator only: the
+	// checker reads directory memory directly).
+	MLoadReq  // acquire poll, answered once the flag at Addr reaches Val
+	MLoadResp // the poll's answer: the flag value in Val
 )
 
 // Msg is the protocol message vocabulary shared by the simulator adapters
-// and the model checker. Adapters translate to and from their wire structs;
-// the checker stores Msg values directly in its in-flight multiset. Unused
+// and the model checker. The simulator sends *Msg on the NoC as is; the
+// checker stores Msg values directly in its in-flight multiset. Unused
 // fields stay zero for any given kind.
 type Msg struct {
 	Kind MsgKind

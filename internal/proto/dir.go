@@ -4,6 +4,7 @@ import (
 	"cord/internal/memsys"
 	"cord/internal/noc"
 	"cord/internal/obs"
+	"cord/internal/proto/core"
 	"cord/internal/sim"
 	"cord/internal/stats"
 )
@@ -12,8 +13,10 @@ import (
 // functional LLC contents for synchronization flags, and the waiter list
 // that implements acquire-side polling. Protocol directory types embed it.
 type DirBase struct {
-	Sys   *System
-	ID    noc.NodeID
+	Sys *System
+	ID  noc.NodeID
+	// Ix is the slice's dense index (System.Index), its identity in core.Msg.
+	Ix    int
 	Store *memsys.Store
 	// Eng and Obs are the slice's host-shard engine and recorder, cached at
 	// InitBase (see ProcBase).
@@ -23,8 +26,10 @@ type DirBase struct {
 	waiters map[memsys.Addr][]pollWaiter
 }
 
+// pollWaiter is a parked MLoadReq and the core it came from.
 type pollWaiter struct {
-	req *LoadReq
+	src noc.NodeID
+	req *core.Msg
 }
 
 // InitBase prepares the embedded fields and registers the slice's store for
@@ -32,6 +37,7 @@ type pollWaiter struct {
 func (d *DirBase) InitBase(sys *System, id noc.NodeID) {
 	d.Sys = sys
 	d.ID = id
+	d.Ix = sys.Index(id)
 	d.Eng = sys.EngOf(id.Host)
 	d.Obs = sys.ObsOf(id.Host)
 	d.Store = memsys.NewStore()
@@ -64,8 +70,8 @@ func (d *DirBase) wake(addr memsys.Addr) {
 	val := d.Store.Read(addr)
 	rest := ws[:0]
 	for _, w := range ws {
-		if val >= w.req.Want {
-			d.respond(w.req, val)
+		if val >= w.req.Val {
+			d.respond(w.src, w.req, val)
 		} else {
 			rest = append(rest, w)
 		}
@@ -77,22 +83,24 @@ func (d *DirBase) wake(addr memsys.Addr) {
 	}
 }
 
-func (d *DirBase) respond(req *LoadReq, val uint64) {
-	d.Sys.Net.Send(d.ID, req.Requestor, stats.ClassLoadResp, LoadRespBytes,
-		&LoadResp{Addr: req.Addr, Value: val, Tag: req.Tag})
+func (d *DirBase) respond(src noc.NodeID, req *core.Msg, val uint64) {
+	d.Sys.Net.Send(d.ID, src, stats.ClassLoadResp, LoadRespBytes,
+		&core.Msg{Kind: core.MLoadResp, Src: req.Src, Dir: d.Ix, Addr: req.Addr,
+			Val: val, Tag: req.Tag})
 }
 
-// HandleLoadReq services an acquire poll: respond after the LLC access
-// latency if the flag already satisfies the wait, otherwise park the waiter
-// until a commit satisfies it. Protocol directory handlers route LoadReq
-// messages here.
-func (d *DirBase) HandleLoadReq(m *LoadReq) {
+// HandleLoadReq services an acquire poll from core src: respond after the
+// LLC access latency if the flag already satisfies the wait, otherwise park
+// the waiter until a commit satisfies it. Protocol directory handlers route
+// MLoadReq messages here.
+func (d *DirBase) HandleLoadReq(src noc.NodeID, m *core.Msg) {
+	addr := memsys.Addr(m.Addr)
 	d.Eng.Schedule(d.Sys.Timing.LLCCycles, func() {
-		if val := d.Store.Read(m.Addr); val >= m.Want {
-			d.respond(m, val)
+		if val := d.Store.Read(addr); val >= m.Val {
+			d.respond(src, m, val)
 			return
 		}
-		d.waiters[m.Addr] = append(d.waiters[m.Addr], pollWaiter{req: m})
+		d.waiters[addr] = append(d.waiters[addr], pollWaiter{src: src, req: m})
 	})
 }
 

@@ -14,7 +14,9 @@
 //
 // The ordering decisions — FIFO drain, flush eligibility, sequence
 // assignment — are core.MPProc/core.MPOrderer rules shared with the litmus
-// model checker; this package owns timing, wire formats, stats, and obs.
+// model checker; this package owns timing, NoC injection, stats, and obs.
+// Posted writes travel as core.MMPStore and flushing reads as core.MMPFlush,
+// whose Dir names the destination host (the ordering domain).
 package mp
 
 import (
@@ -38,130 +40,70 @@ func New() *Protocol { return &Protocol{} }
 // Name implements proto.Builder.
 func (p *Protocol) Name() string { return "MP" }
 
-// mpStore is a posted write transaction. Atomic marks a non-posted far
-// fetch-add: it is ordered in the same per-(source, host) stream but the
-// destination responds with the prior value.
-type mpStore struct {
-	Src    noc.NodeID
-	Seq    uint64 // per (src, destination-host) sequence number
-	Addr   memsys.Addr
-	Value  uint64
-	Size   int
-	Atomic bool
-	Tag    uint64
-}
-
-// atomicResp returns a far atomic's prior value.
-type atomicResp struct {
-	Tag uint64
-	Old uint64
-}
-
-// flushReq asks the destination host to report when every posted write from
-// Src up to and including Seq has committed (a flushing read).
-type flushReq struct {
-	Src noc.NodeID
-	Seq uint64
-	Tag uint64
-}
-
-// flushResp completes a flushReq.
-type flushResp struct {
-	Tag uint64
-}
-
 // orderer adapts a host's ingress ordering point (core.MPOrderer) to the
 // simulator: the core rule decides commit and flush eligibility; this type
 // schedules the commits, answers flushing reads on the wire, and records
 // observability events. One orderer is shared by all slices of a host.
 type orderer struct {
-	sys   *proto.System
-	host  int
-	tiles int
+	sys  *proto.System
+	host int
 	// eng and obs are the host shard's engine and recorder (see
 	// proto.ProcBase); the orderer is host-resident state.
 	eng  *sim.Engine
 	obs  *obs.Recorder
 	st   core.MPOrderer
-	dirs map[int]*dir // by slice
-	// flights correlates a parked flushing read back to its wire request.
-	// Tags are per-CPU counters, so the key must include the source.
-	flights map[flightKey]*flushReq
-}
-
-type flightKey struct {
-	src int
-	tag uint64
+	dirs map[int]*dir // by dense index
 }
 
 func newOrderer(sys *proto.System, host int) *orderer {
-	nc := sys.Net.Config()
 	return &orderer{
-		sys:     sys,
-		host:    host,
-		eng:     sys.EngOf(host),
-		obs:     sys.ObsOf(host),
-		tiles:   nc.TilesPerHost,
-		st:      core.NewMPOrderer(nc.Hosts * nc.TilesPerHost),
-		dirs:    make(map[int]*dir),
-		flights: make(map[flightKey]*flushReq),
+		sys:  sys,
+		host: host,
+		eng:  sys.EngOf(host),
+		obs:  sys.ObsOf(host),
+		st:   core.NewMPOrderer(sys.Nodes()),
+		dirs: make(map[int]*dir),
 	}
 }
 
-// pix is the dense index of a processor for the core rules.
-func (o *orderer) pix(id noc.NodeID) int { return id.Host*o.tiles + id.Tile }
-
-// submit hands an arrived posted write to the ordering point.
-func (o *orderer) submit(m *mpStore, at *dir) {
-	cm := core.Msg{Kind: core.MMPStore, Src: o.pix(m.Src), Dir: at.ID.Tile,
-		Seq: m.Seq, Addr: uint64(m.Addr), Val: m.Value, Size: m.Size,
-		Atomic: m.Atomic, Tag: m.Tag}
-	inOrder := o.st.Submit(cm,
+// submit hands a posted write from core src, arrived at slice at, to the
+// ordering point.
+func (o *orderer) submit(src noc.NodeID, m *core.Msg, at *dir) {
+	inOrder := o.st.Submit(*m,
 		func(w core.Msg) { o.dirs[w.Dir].commit(w) },
-		func(f core.Msg) { o.respondFlush(o.takeFlight(f)) })
+		o.respondFlush)
 	if !inOrder {
 		// Out-of-order arrival: held at the ordering point until the gap fills.
 		rec := o.obs
-		rec.DirDepth(o.st.PendingFor(cm.Src))
+		rec.DirDepth(o.st.PendingFor(m.Src))
 		if rec.Take() {
 			rec.Record(obs.Event{At: o.eng.Now(), Kind: obs.KRetry,
-				Src: at.ID.Obs(), Dst: m.Src.Obs(), Class: stats.ClassRelaxedData,
+				Src: at.ID.Obs(), Dst: src.Obs(), Class: stats.ClassRelaxedData,
 				Seq: m.Seq})
 		}
 	}
 }
 
-// takeFlight recovers the wire request for a now-ready parked flush.
-func (o *orderer) takeFlight(f core.Msg) *flushReq {
-	k := flightKey{src: f.Src, tag: f.Tag}
-	w, ok := o.flights[k]
-	if !ok {
-		panic(fmt.Sprintf("mp: served flush with unknown tag %d at host %d", f.Tag, o.host))
-	}
-	delete(o.flights, k)
-	return w
-}
-
 // respondFlush completes a flushing read after the commit pipeline drains
 // (one LLC commit latency), from the host's port slice.
-func (o *orderer) respondFlush(f *flushReq) {
+func (o *orderer) respondFlush(f core.Msg) {
 	o.eng.Schedule(o.sys.Timing.CommitLatency(), func() {
+		port, dst := noc.DirID(o.host, 0), o.sys.CoreAt(f.Src)
 		if rec := o.obs; rec.Take() {
 			rec.Record(obs.Event{At: o.eng.Now(), Kind: obs.KNotify,
-				Src: noc.DirID(o.host, 0).Obs(), Dst: f.Src.Obs(), Seq: f.Tag})
+				Src: port.Obs(), Dst: dst.Obs(), Seq: f.Tag})
 		}
-		o.sys.Net.Send(noc.DirID(o.host, 0), f.Src, stats.ClassAck,
-			proto.AckBytes, &flushResp{Tag: f.Tag})
+		o.sys.Net.Send(port, dst, stats.ClassAck, proto.AckBytes,
+			&core.Msg{Kind: core.MMPFlushOK, Src: f.Src, Dir: f.Dir, Tag: f.Tag})
 	})
 }
 
-func (o *orderer) flush(f *flushReq) {
-	cm := core.Msg{Kind: core.MMPFlush, Src: o.pix(f.Src), Seq: f.Seq, Tag: f.Tag}
-	if o.st.Flush(cm) {
-		o.respondFlush(f)
-		return
+// flush answers a flushing read now, or parks it in the core rule until
+// Submit's drain covers it.
+func (o *orderer) flush(f *core.Msg) {
+	if o.st.Flush(*f) {
+		o.respondFlush(*f)
 	}
-	o.flights[flightKey{src: cm.Src, tag: f.Tag}] = f
 }
 
 // dir is a directory slice under MP: pure commit target behind the orderer.
@@ -170,16 +112,16 @@ type dir struct {
 	ord *orderer
 }
 
-func (d *dir) handle(_ noc.NodeID, payload any) {
-	switch m := payload.(type) {
-	case *proto.LoadReq:
-		d.HandleLoadReq(m)
-	case *mpStore:
-		d.ord.submit(m, d)
-	case *flushReq:
+func (d *dir) handle(src noc.NodeID, payload any) {
+	switch m := payload.(*core.Msg); m.Kind {
+	case core.MLoadReq:
+		d.HandleLoadReq(src, m)
+	case core.MMPStore:
+		d.ord.submit(src, m, d)
+	case core.MMPFlush:
 		d.ord.flush(m)
 	default:
-		panic(fmt.Sprintf("mp: dir %v got unexpected message %T", d.ID, payload))
+		panic(fmt.Sprintf("mp: dir %v got unexpected message kind %d", d.ID, m.Kind))
 	}
 }
 
@@ -187,9 +129,8 @@ func (d *dir) commit(m core.Msg) {
 	d.Eng.Schedule(d.Sys.Timing.CommitLatency(), func() {
 		if m.Atomic {
 			old := d.FetchAdd(memsys.Addr(m.Addr), m.Val)
-			src := noc.CoreID(m.Src/d.ord.tiles, m.Src%d.ord.tiles)
-			d.Sys.Net.Send(d.ID, src, stats.ClassAtomicResp, proto.AckBytes+8,
-				&atomicResp{Tag: m.Tag, Old: old})
+			d.Sys.Net.Send(d.ID, d.Sys.CoreAt(m.Src), stats.ClassAtomicResp, proto.AckBytes+8,
+				&core.Msg{Kind: core.MAtomicResp, Src: m.Src, Dir: d.Ix, Val: old, Tag: m.Tag})
 			return
 		}
 		d.CommitValue(memsys.Addr(m.Addr), m.Val)
@@ -213,10 +154,10 @@ type cpu struct {
 }
 
 func (c *cpu) handle(_ noc.NodeID, payload any) {
-	switch m := payload.(type) {
-	case *proto.LoadResp:
+	switch m := payload.(*core.Msg); m.Kind {
+	case core.MLoadResp:
 		c.HandleLoadResp(m)
-	case *flushResp:
+	case core.MMPFlushOK:
 		cont, ok := c.inflight[m.Tag]
 		if !ok {
 			panic("mp: unknown flush tag")
@@ -227,7 +168,7 @@ func (c *cpu) handle(_ noc.NodeID, payload any) {
 				Src: c.ID.Obs(), Seq: m.Tag})
 		}
 		cont()
-	case *atomicResp:
+	case core.MAtomicResp:
 		cont, ok := c.inflight[m.Tag]
 		if !ok {
 			panic("mp: unknown atomic tag")
@@ -235,7 +176,7 @@ func (c *cpu) handle(_ noc.NodeID, payload any) {
 		delete(c.inflight, m.Tag)
 		cont()
 	default:
-		panic(fmt.Sprintf("mp: cpu %v got unexpected message %T", c.ID, payload))
+		panic(fmt.Sprintf("mp: cpu %v got unexpected message kind %d", c.ID, m.Kind))
 	}
 }
 
@@ -251,27 +192,19 @@ func (c *cpu) exec(op proto.Op, next func()) {
 		} else {
 			c.wcValid = false
 		}
-		home := c.Sys.Map.HomeOf(op.Addr)
 		class := stats.ClassRelaxedData
 		if op.Ord == proto.Release {
 			class = stats.ClassReleaseData
 		}
-		c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+op.Size, &mpStore{
-			Src: c.ID, Seq: c.st.NextSeq(home.Host), Addr: op.Addr,
-			Value: op.Value, Size: op.Size,
-		})
+		c.post(op, class, false, 0)
 		next()
 	case proto.OpAtomic:
 		// Non-posted atomic: ordered in the per-host stream, blocks on the
 		// value response.
 		c.wcValid = false
-		home := c.Sys.Map.HomeOf(op.Addr)
 		c.nextTag++
 		c.inflight[c.nextTag] = c.StallUntil(stats.StallAcquire, next)
-		c.Sys.Net.Send(c.ID, home, stats.ClassAtomic, proto.HeaderBytes+op.Size, &mpStore{
-			Src: c.ID, Seq: c.st.NextSeq(home.Host), Addr: op.Addr, Value: op.Value,
-			Size: op.Size, Atomic: true, Tag: c.nextTag,
-		})
+		c.post(op, stats.ClassAtomic, true, c.nextTag)
 	case proto.OpBarrier:
 		switch op.Ord {
 		case proto.Release, proto.SeqCst:
@@ -282,6 +215,16 @@ func (c *cpu) exec(op proto.Op, next func()) {
 	default:
 		panic(fmt.Sprintf("mp: unexpected op %v", op))
 	}
+}
+
+// post sends a posted write (or a non-posted atomic) into its destination
+// host's FIFO ordering domain.
+func (c *cpu) post(op proto.Op, class stats.MsgClass, atomic bool, tag uint64) {
+	home := c.Sys.Map.HomeOf(op.Addr)
+	c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+op.Size, &core.Msg{
+		Kind: core.MMPStore, Src: c.Ix, Dir: c.Sys.Index(home), Seq: c.st.NextSeq(home.Host),
+		Addr: uint64(op.Addr), Val: op.Value, Size: op.Size, Atomic: atomic, Tag: tag,
+	})
 }
 
 // flushAll issues a flushing read to every host this core posted writes to
@@ -296,14 +239,13 @@ func (c *cpu) flushAll(next func()) {
 			resume()
 		}
 	}
-	c.buf = c.st.FlushTargets(0, c.buf[:0])
+	c.buf = c.st.FlushTargets(c.Ix, c.buf[:0])
 	for _, f := range c.buf {
-		host := f.Dir
 		outstanding++
 		c.nextTag++
 		c.inflight[c.nextTag] = done
-		c.Sys.Net.Send(c.ID, noc.DirID(host, 0), stats.ClassBarrier,
-			proto.LoadReqBytes, &flushReq{Src: c.ID, Seq: f.Seq, Tag: c.nextTag})
+		f.Tag = c.nextTag
+		c.Sys.Net.Send(c.ID, noc.DirID(f.Dir, 0), stats.ClassBarrier, proto.LoadReqBytes, &f)
 	}
 	if outstanding == 0 {
 		resume()
@@ -320,7 +262,7 @@ func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 	for _, id := range sys.Dirs() {
 		d := &dir{ord: orderers[id.Host]}
 		d.InitBase(sys, id)
-		orderers[id.Host].dirs[id.Tile] = d
+		orderers[id.Host].dirs[sys.Index(id)] = d
 		sys.Net.Register(id, d.handle)
 	}
 	cpus := make([]proto.CPU, len(cores))

@@ -3,31 +3,12 @@ package proto
 import (
 	"fmt"
 
-	"cord/internal/memsys"
 	"cord/internal/noc"
 	"cord/internal/obs"
+	"cord/internal/proto/core"
 	"cord/internal/sim"
 	"cord/internal/stats"
 )
-
-// LoadReq is an acquire/poll request from a core to a flag's home directory.
-// The directory replies once the flag value reaches Want, so a logically
-// spinning consumer costs one request/response pair on the wire (the spin
-// itself hits the consumer's local cached copy and is not simulated
-// message-by-message).
-type LoadReq struct {
-	Requestor noc.NodeID
-	Addr      memsys.Addr
-	Want      uint64
-	Tag       uint64
-}
-
-// LoadResp answers a LoadReq with the flag value.
-type LoadResp struct {
-	Addr  memsys.Addr
-	Value uint64
-	Tag   uint64
-}
 
 // IssueCycles is the minimum core occupancy per memory operation: the store
 // pipeline issues at most one operation per cycle.
@@ -42,7 +23,9 @@ const IssueCycles = 1
 type ProcBase struct {
 	Sys *System
 	ID  noc.NodeID
-	PS  *stats.ProcStats
+	// Ix is the core's dense index (System.Index), its identity in core.Msg.
+	Ix int
+	PS *stats.ProcStats
 	// Eng and Obs are the core's host-shard engine and recorder, cached at
 	// InitBase so the hot path never routes through Sys (which in a
 	// partitioned system would alias another shard's clock).
@@ -60,16 +43,27 @@ type ProcBase struct {
 	done       bool
 	nextTag    uint64
 	acquires   map[uint64]func()
+
+	// step is Step and next schedules it one issue cycle out, both bound
+	// once at InitBase so issuing an op allocates neither.
+	step, next func()
+	// stallCond and stallResume are the core's one blocked-op slot (at most
+	// one op is in flight per core): see StallWhile.
+	stallCond   func() bool
+	stallResume func()
 }
 
 // InitBase prepares the embedded fields.
 func (p *ProcBase) InitBase(sys *System, id noc.NodeID, ps *stats.ProcStats) {
 	p.Sys = sys
 	p.ID = id
+	p.Ix = sys.Index(id)
 	p.PS = ps
 	p.Eng = sys.EngOf(id.Host)
 	p.Obs = sys.ObsOf(id.Host)
 	p.acquires = make(map[uint64]func())
+	p.step = p.Step
+	p.next = func() { p.Eng.Schedule(IssueCycles, p.step) }
 }
 
 // Start begins executing a static program (the trivial OpSource).
@@ -93,7 +87,7 @@ func (p *ProcBase) StartSource(src OpSource) {
 		return
 	}
 	p.pending, p.hasPending = op, true
-	p.Eng.Schedule(0, p.Step)
+	p.Eng.Schedule(0, p.step)
 }
 
 // Done reports whether the operation stream has retired.
@@ -120,7 +114,7 @@ func (p *ProcBase) Step() {
 	opSeq := p.seq
 	p.seq++
 	p.PS.Ops++
-	next := func() { p.Eng.Schedule(IssueCycles, p.Step) }
+	next := p.next
 	if rec := p.Obs; rec.Take() {
 		// One sampling decision covers the op's whole lifecycle: issue now,
 		// done when the protocol releases the core. Compute ops are a single
@@ -147,7 +141,7 @@ func (p *ProcBase) Step() {
 	switch op.Kind {
 	case OpCompute:
 		p.PS.ComputeCyc += op.Cycles
-		p.Eng.Schedule(op.Cycles, p.Step)
+		p.Eng.Schedule(op.Cycles, p.step)
 	case OpAcquire:
 		p.beginAcquire(op, next)
 	case OpStoreWT, OpStoreWB, OpBarrier, OpAtomic:
@@ -168,7 +162,10 @@ func (p *ProcBase) Step() {
 }
 
 // beginAcquire sends the poll request and blocks the core until the response
-// arrives, charging the wait to StallAcquire.
+// arrives, charging the wait to StallAcquire. The flag's home directory
+// answers once the flag reaches op.Value, so a logically spinning consumer
+// costs one MLoadReq/MLoadResp pair on the wire (the spin itself hits the
+// consumer's local cached copy and is not simulated message-by-message).
 func (p *ProcBase) beginAcquire(op Op, next func()) {
 	start := p.Eng.Now()
 	tag := p.nextTag
@@ -181,15 +178,16 @@ func (p *ProcBase) beginAcquire(op Op, next func()) {
 	}
 	home := p.Sys.Map.HomeOf(op.Addr)
 	p.Sys.Net.Send(p.ID, home, stats.ClassLoadReq, LoadReqBytes,
-		&LoadReq{Requestor: p.ID, Addr: op.Addr, Want: op.Value, Tag: tag})
+		&core.Msg{Kind: core.MLoadReq, Src: p.Ix, Dir: p.Sys.Index(home),
+			Addr: uint64(op.Addr), Val: op.Value, Tag: tag})
 }
 
 // HandleLoadResp resumes the acquire waiting on the response's tag. Protocol
-// core handlers route LoadResp messages here.
-func (p *ProcBase) HandleLoadResp(m *LoadResp) {
+// core handlers route MLoadResp messages here.
+func (p *ProcBase) HandleLoadResp(m *core.Msg) {
 	cont, ok := p.acquires[m.Tag]
 	if !ok {
-		panic(fmt.Sprintf("proto: %v got LoadResp with unknown tag %d", p.ID, m.Tag))
+		panic(fmt.Sprintf("proto: %v got MLoadResp with unknown tag %d", p.ID, m.Tag))
 	}
 	delete(p.acquires, m.Tag)
 	cont()
@@ -217,6 +215,33 @@ func (p *ProcBase) StallUntil(kind stats.StallKind, resume func()) func() {
 		}
 		resume()
 	}
+}
+
+// StallWhile blocks the core while cond holds, charging the stall to kind
+// (see StallUntil), then runs resume. If cond is already false, resume runs
+// at once and nothing is charged. A core holds at most one blocked op:
+// handlers call Recheck after every state change that may end the stall.
+func (p *ProcBase) StallWhile(cond func() bool, kind stats.StallKind, resume func()) {
+	if !cond() {
+		resume()
+		return
+	}
+	if p.stallCond != nil {
+		panic(fmt.Sprintf("proto: core %v blocked twice", p.ID))
+	}
+	p.stallCond = cond
+	p.stallResume = p.StallUntil(kind, resume)
+}
+
+// Recheck resumes the blocked op if its StallWhile condition no longer
+// holds. It is a no-op when no op is blocked.
+func (p *ProcBase) Recheck() {
+	if p.stallCond == nil || p.stallCond() {
+		return
+	}
+	resume := p.stallResume
+	p.stallCond, p.stallResume = nil, nil
+	resume()
 }
 
 // Now is shorthand for the engine clock.

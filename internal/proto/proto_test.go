@@ -6,6 +6,7 @@ import (
 
 	"cord/internal/memsys"
 	"cord/internal/noc"
+	"cord/internal/proto/core"
 	"cord/internal/sim"
 	"cord/internal/stats"
 )
@@ -21,11 +22,6 @@ type nullCPU struct{ ProcBase }
 
 type nullDir struct{ DirBase }
 
-type nullStore struct {
-	Addr  memsys.Addr
-	Value uint64
-}
-
 func (nullProto) Build(sys *System, cores []noc.NodeID) []CPU {
 	dirs := make(map[noc.NodeID]*nullDir)
 	for _, id := range sys.Dirs() {
@@ -33,12 +29,12 @@ func (nullProto) Build(sys *System, cores []noc.NodeID) []CPU {
 		d.InitBase(sys, id)
 		dirs[id] = d
 		id := id
-		sys.Net.Register(id, func(_ noc.NodeID, payload any) {
-			switch m := payload.(type) {
-			case *LoadReq:
-				d.HandleLoadReq(m)
-			case *nullStore:
-				d.Eng.Schedule(sys.Timing.CommitLatency(), func() { d.CommitValue(m.Addr, m.Value) })
+		sys.Net.Register(id, func(src noc.NodeID, payload any) {
+			switch m := payload.(*core.Msg); m.Kind {
+			case core.MLoadReq:
+				d.HandleLoadReq(src, m)
+			case core.MRelaxed:
+				d.Eng.Schedule(sys.Timing.CommitLatency(), func() { d.CommitValue(memsys.Addr(m.Addr), m.Val) })
 			default:
 				panic("nullDir: unexpected message")
 			}
@@ -53,14 +49,14 @@ func (nullProto) Build(sys *System, cores []noc.NodeID) []CPU {
 			case OpStoreWT, OpStoreWB:
 				home := sys.Map.HomeOf(op.Addr)
 				sys.Net.Send(c.ID, home, stats.ClassRelaxedData, HeaderBytes+op.Size,
-					&nullStore{Addr: op.Addr, Value: op.Value})
+					&core.Msg{Kind: core.MRelaxed, Addr: uint64(op.Addr), Val: op.Value})
 				next()
 			case OpBarrier:
 				next()
 			}
 		}
 		sys.Net.Register(id, func(_ noc.NodeID, payload any) {
-			c.HandleLoadResp(payload.(*LoadResp))
+			c.HandleLoadResp(payload.(*core.Msg))
 		})
 		cpus[i] = c
 	}

@@ -42,31 +42,11 @@ func New() *Protocol { return &Protocol{Cfg: DefaultConfig()} }
 // Name implements proto.Builder.
 func (p *Protocol) Name() string { return "SO" }
 
-// storeMsg is a write-through store on the wire. Atomic marks a far
-// fetch-add, whose acknowledgment doubles as the value response.
-type storeMsg struct {
-	Src     noc.NodeID
-	Addr    memsys.Addr
-	Value   uint64
-	Size    int
-	Release bool
-	Atomic  bool
-	Tag     uint64
-}
-
-// ackMsg acknowledges a committed store (and returns an atomic's old value).
-type ackMsg struct {
-	Tag     uint64
-	Release bool
-	Old     uint64
-}
-
 // Build implements proto.Builder.
 func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 	for _, id := range sys.Dirs() {
 		d := &dir{}
 		d.InitBase(sys, id)
-		id := id
 		sys.Net.Register(id, d.handle)
 	}
 	cpus := make([]proto.CPU, len(cores))
@@ -82,9 +62,10 @@ func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 
 // cpu is the source-ordering processor adapter: the ordering decisions
 // (when a release, barrier, or ordered atomic may issue) are core.SOProc
-// rules shared with the litmus model checker; this type owns timing, wire
-// formats, stats, and obs events plus the TSO store-buffer
-// micro-architecture.
+// rules shared with the litmus model checker; this type owns timing, NoC
+// injection, stats, and obs events plus the TSO store-buffer
+// micro-architecture. Stores travel as core.MSOStore, acks as core.MSOAck
+// (an atomic's ack doubles as its value response).
 type cpu struct {
 	proto.ProcBase
 	cfg Config
@@ -95,8 +76,6 @@ type cpu struct {
 	atomicWait map[uint64]func()
 	// relSent records Release store send times by tag.
 	relSent map[uint64]sim.Time
-	// blocked is the continuation of an op stalled on ack arrival.
-	blocked func()
 	// wcAddr implements a one-entry write-combining buffer: consecutive
 	// Relaxed stores to the same address merge into one wire transaction.
 	wcAddr  memsys.Addr
@@ -112,13 +91,13 @@ type bufEntry struct {
 }
 
 func (c *cpu) handle(_ noc.NodeID, payload any) {
-	switch m := payload.(type) {
-	case *proto.LoadResp:
+	switch m := payload.(*core.Msg); m.Kind {
+	case core.MLoadResp:
 		c.HandleLoadResp(m)
-	case *ackMsg:
+	case core.MSOAck:
 		c.onAck(m)
 	default:
-		panic(fmt.Sprintf("so: cpu %v got unexpected message %T", c.ID, payload))
+		panic(fmt.Sprintf("so: cpu %v got unexpected message kind %d", c.ID, m.Kind))
 	}
 }
 
@@ -134,7 +113,7 @@ func (c *cpu) exec(op proto.Op, next func()) {
 		if op.Ord == proto.Release {
 			c.wcValid = false
 			c.whenDrained(stats.StallAckWait, func() {
-				c.send(op, true)
+				c.send(op, true, false)
 				next()
 			})
 			return
@@ -145,13 +124,13 @@ func (c *cpu) exec(op proto.Op, next func()) {
 			return
 		}
 		c.wcAddr, c.wcValid = op.Addr, true
-		c.send(op, false)
+		c.send(op, false, false)
 		next()
 	case proto.OpAtomic:
 		// Far atomics are source-ordered like stores; the core additionally
 		// blocks on the value response (a true data dependency).
 		issue := func() {
-			c.sendAtomic(op)
+			c.send(op, op.Ord == proto.Release, true)
 			c.atomicWait[c.nextTag] = c.StallUntil(stats.StallAcquire, next)
 		}
 		if op.Ord == proto.Release || op.Ord == proto.SeqCst {
@@ -173,16 +152,6 @@ func (c *cpu) exec(op proto.Op, next func()) {
 	}
 }
 
-func (c *cpu) sendAtomic(op proto.Op) {
-	c.nextTag++
-	c.st.NoteStore()
-	home := c.Sys.Map.HomeOf(op.Addr)
-	c.Sys.Net.Send(c.ID, home, stats.ClassAtomic, proto.HeaderBytes+op.Size, &storeMsg{
-		Src: c.ID, Addr: op.Addr, Value: op.Value, Size: op.Size,
-		Release: op.Ord == proto.Release, Atomic: true, Tag: c.nextTag,
-	})
-}
-
 // whenDrained runs fn once all stores are acknowledged (core.SOProc's
 // ordering rule), charging any wait to the given stall kind.
 func (c *cpu) whenDrained(kind stats.StallKind, fn func()) {
@@ -190,36 +159,29 @@ func (c *cpu) whenDrained(kind stats.StallKind, fn func()) {
 		fn()
 		return
 	}
-	if c.blocked != nil {
-		panic("so: core blocked twice")
-	}
-	resume := c.StallUntil(kind, fn)
-	c.blocked = func() {
-		if c.st.CanIssueOrdered() {
-			c.blocked = nil
-			resume()
-		}
-	}
+	c.StallWhile(func() bool { return !c.st.CanIssueOrdered() }, kind, fn)
 }
 
-func (c *cpu) send(op proto.Op, release bool) {
+// send puts a store (or far atomic) on the wire under a fresh ack tag.
+func (c *cpu) send(op proto.Op, release, atomic bool) {
 	c.nextTag++
 	c.st.NoteStore()
 	class := stats.ClassRelaxedData
-	if release {
+	switch {
+	case atomic:
+		class = stats.ClassAtomic
+	case release:
 		class = stats.ClassReleaseData
-	}
-	home := c.Sys.Map.HomeOf(op.Addr)
-	if release {
 		c.relSent[c.nextTag] = c.Now()
 	}
-	c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+op.Size, &storeMsg{
-		Src: c.ID, Addr: op.Addr, Value: op.Value, Size: op.Size,
-		Release: release, Tag: c.nextTag,
+	home := c.Sys.Map.HomeOf(op.Addr)
+	c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+op.Size, &core.Msg{
+		Kind: core.MSOStore, Src: c.Ix, Dir: c.Sys.Index(home), Addr: uint64(op.Addr),
+		Val: op.Value, Size: op.Size, Release: release, Atomic: atomic, Tag: c.nextTag,
 	})
 }
 
-func (c *cpu) onAck(m *ackMsg) {
+func (c *cpu) onAck(m *core.Msg) {
 	c.st.NoteAck()
 	if at, ok := c.relSent[m.Tag]; ok {
 		lat := c.Now() - at
@@ -234,9 +196,7 @@ func (c *cpu) onAck(m *ackMsg) {
 		delete(c.atomicWait, m.Tag)
 		cont()
 	}
-	if c.blocked != nil {
-		c.blocked()
-	}
+	c.Recheck()
 	if c.Sys.Mode == proto.TSO {
 		c.drainNext()
 	}
@@ -249,24 +209,16 @@ func (c *cpu) execTSO(op proto.Op, next func()) {
 	case proto.OpAtomic:
 		// TSO atomics drain the store buffer, execute, and block.
 		c.whenEmptyTSO(func() {
-			c.sendAtomic(op)
+			c.send(op, op.Ord == proto.Release, true)
 			c.atomicWait[c.nextTag] = c.StallUntil(stats.StallAcquire, next)
 		})
 	case proto.OpStoreWT, proto.OpStoreWB:
 		if len(c.buf) >= c.cfg.StoreBufCap {
-			if c.blocked != nil {
-				panic("so: core blocked twice")
-			}
-			resume := c.StallUntil(stats.StallStoreBuf, func() {
-				c.enqueue(op)
-				next()
-			})
-			c.blocked = func() {
-				if len(c.buf) < c.cfg.StoreBufCap {
-					c.blocked = nil
-					resume()
-				}
-			}
+			c.StallWhile(func() bool { return len(c.buf) >= c.cfg.StoreBufCap },
+				stats.StallStoreBuf, func() {
+					c.enqueue(op)
+					next()
+				})
 			return
 		}
 		c.enqueue(op)
@@ -291,18 +243,14 @@ func (c *cpu) enqueue(op proto.Op) {
 func (c *cpu) drainNext() {
 	if len(c.buf) == 0 {
 		c.draining = false
-		if c.blocked != nil {
-			c.blocked()
-		}
+		c.Recheck()
 		return
 	}
 	c.draining = true
 	e := c.buf[0]
 	c.buf = c.buf[1:]
-	c.send(e.op, e.op.Ord == proto.Release)
-	if c.blocked != nil {
-		c.blocked() // buffer space freed
-	}
+	c.send(e.op, e.op.Ord == proto.Release, false)
+	c.Recheck() // buffer space freed
 }
 
 func (c *cpu) whenEmptyTSO(fn func()) {
@@ -310,16 +258,8 @@ func (c *cpu) whenEmptyTSO(fn func()) {
 		fn()
 		return
 	}
-	if c.blocked != nil {
-		panic("so: core blocked twice")
-	}
-	resume := c.StallUntil(stats.StallAckWait, fn)
-	c.blocked = func() {
-		if len(c.buf) == 0 && c.st.Drained() {
-			c.blocked = nil
-			resume()
-		}
-	}
+	c.StallWhile(func() bool { return len(c.buf) > 0 || !c.st.Drained() },
+		stats.StallAckWait, fn)
 }
 
 // dir is the source-ordering directory: commit, then acknowledge.
@@ -327,32 +267,32 @@ type dir struct {
 	proto.DirBase
 }
 
-func (d *dir) handle(_ noc.NodeID, payload any) {
-	switch m := payload.(type) {
-	case *proto.LoadReq:
-		d.HandleLoadReq(m)
-	case *storeMsg:
+func (d *dir) handle(src noc.NodeID, payload any) {
+	switch m := payload.(*core.Msg); m.Kind {
+	case core.MLoadReq:
+		d.HandleLoadReq(src, m)
+	case core.MSOStore:
 		d.Eng.Schedule(d.Sys.Timing.CommitLatency(), func() {
 			var old uint64
 			class := stats.ClassAck
 			size := proto.AckBytes
 			if m.Atomic {
-				old = d.FetchAdd(m.Addr, m.Value)
+				old = d.FetchAdd(memsys.Addr(m.Addr), m.Val)
 				class = stats.ClassAtomicResp
 				size = proto.AckBytes + 8
 			} else {
-				d.CommitValue(m.Addr, m.Value)
+				d.CommitValue(memsys.Addr(m.Addr), m.Val)
 			}
 			if m.Release {
 				if rec := d.Obs; rec.Take() {
 					rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KRelCommit,
-						Src: d.ID.Obs(), Dst: m.Src.Obs(), Seq: m.Tag, Addr: uint64(m.Addr)})
+						Src: d.ID.Obs(), Dst: src.Obs(), Seq: m.Tag, Addr: m.Addr})
 				}
 			}
-			d.Sys.Net.Send(d.ID, m.Src, class, size,
-				&ackMsg{Tag: m.Tag, Release: m.Release, Old: old})
+			ack := core.SOAck(*m, old)
+			d.Sys.Net.Send(d.ID, src, class, size, &ack)
 		})
 	default:
-		panic(fmt.Sprintf("so: dir %v got unexpected message %T", d.ID, payload))
+		panic(fmt.Sprintf("so: dir %v got unexpected message kind %d", d.ID, m.Kind))
 	}
 }

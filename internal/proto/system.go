@@ -85,6 +85,9 @@ type System struct {
 	// stores indexes every directory slice's LLC store, registered by
 	// DirBase.InitBase, so tests can read back final memory (ReadMem).
 	stores map[noc.NodeID]*memsys.Store
+
+	// hosts and tiles shape the dense node index (Index).
+	hosts, tiles int
 }
 
 // NewSystem wires an engine (or, for multi-host topologies, one engine per
@@ -97,6 +100,8 @@ func NewSystem(seed int64, nc noc.Config, mode Mode) *System {
 		Mode:   mode,
 		Run:    run,
 		stores: make(map[noc.NodeID]*memsys.Store),
+		hosts:  nc.Hosts,
+		tiles:  nc.TilesPerHost,
 	}
 	if nc.Hosts <= 1 {
 		s.Eng = sim.NewEngine(seed)
@@ -211,14 +216,26 @@ func (s *System) AttachRuntime(col *rt.Collector) bool {
 	return true
 }
 
-// Dirs enumerates every directory node in the system.
+// Nodes is the number of cores, and of directory slices: one of each per
+// tile.
+func (s *System) Nodes() int { return s.hosts * s.tiles }
+
+// Index is a core's or directory slice's dense index, host*TilesPerHost+tile:
+// the identity core rules and core.Msg use for processors and directories.
+// Ascending index order matches noc.SortIDs order.
+func (s *System) Index(id noc.NodeID) int { return id.Host*s.tiles + id.Tile }
+
+// CoreAt is Index's inverse for cores.
+func (s *System) CoreAt(ix int) noc.NodeID { return noc.CoreID(ix/s.tiles, ix%s.tiles) }
+
+// DirAt is Index's inverse for directory slices.
+func (s *System) DirAt(ix int) noc.NodeID { return noc.DirID(ix/s.tiles, ix%s.tiles) }
+
+// Dirs enumerates every directory node in the system, in index order.
 func (s *System) Dirs() []noc.NodeID {
-	cfg := s.Net.Config()
-	ids := make([]noc.NodeID, 0, cfg.Hosts*cfg.TilesPerHost)
-	for h := 0; h < cfg.Hosts; h++ {
-		for t := 0; t < cfg.TilesPerHost; t++ {
-			ids = append(ids, noc.DirID(h, t))
-		}
+	ids := make([]noc.NodeID, s.Nodes())
+	for i := range ids {
+		ids[i] = s.DirAt(i)
 	}
 	return ids
 }
