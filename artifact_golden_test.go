@@ -116,6 +116,10 @@ type artifactCase struct {
 	mode    proto.Mode
 	hosts   int
 	workers int
+	// sample is the recorder's 1-in-n sampling rate (0 records every
+	// event). Sampled traces change whenever the order of Take calls does,
+	// which full traces cannot see.
+	sample int
 }
 
 func artifactCases() []artifactCase {
@@ -160,6 +164,14 @@ func artifactCases() []artifactCase {
 			}
 		}
 	}
+	for _, b := range builders[:4] {
+		for _, mode := range []proto.Mode{proto.RC, proto.TSO} {
+			cs = append(cs, artifactCase{
+				name: fmt.Sprintf("%s/%v/hosts=1/sample=3", b.name, mode),
+				b:    b.mk(), mode: mode, hosts: 1, workers: 1, sample: 3,
+			})
+		}
+	}
 	return cs
 }
 
@@ -176,6 +188,9 @@ func runArtifactCase(t *testing.T, c artifactCase) [3]string {
 	}
 	cores, progs := artifactMix(nc.Hosts, nc.TilesPerHost, 4)
 	rec := obs.New()
+	if c.sample > 0 {
+		rec.SetSample(c.sample)
+	}
 	sys := proto.NewSystem(s.Seed, nc, c.mode)
 	sys.Workers = c.workers
 	sys.Observe(rec)
@@ -220,7 +235,8 @@ func readArtifactGolden(t *testing.T) map[string]string {
 }
 
 // TestArtifactGolden checks every protocol x consistency mode x {1 host
-// serial, 2 hosts on 2 workers} against the committed digests.
+// serial, 2 hosts on 2 workers}, plus the four base protocols' 1-host runs
+// sampled 1-in-3, against the committed digests.
 func TestArtifactGolden(t *testing.T) {
 	cases := artifactCases()
 	got := make([][3]string, len(cases))
