@@ -63,6 +63,10 @@ func main() {
 		runtimeOut  = flag.String("runtime-report", "", "write the simulator-runtime telemetry report (per-shard window timings, steal/barrier/merge attribution) as JSON to this file; analyze with 'cordtrace scaling'")
 	)
 	flag.Parse()
+	if *hosts < 0 || *cores < 0 || *mesh < 0 {
+		fmt.Fprintf(os.Stderr, "cordsim: -hosts %d -cores %d -mesh %d: sizes must be >= 0 (0 keeps the Table 1 default)\n", *hosts, *cores, *mesh)
+		os.Exit(2)
+	}
 
 	sys := cord.CXLSystem()
 	if strings.EqualFold(*fabric, "UPI") {

@@ -38,23 +38,24 @@ type cpu struct {
 	wcAddr  memsys.Addr
 	wcValid bool
 
-	// OverflowFlushes counts injected flush Releases (counter wrap, proc
-	// table overflow, SEQ wrap) for tests and diagnostics.
-	OverflowFlushes int
-
 	// wbPending counts outstanding (unacknowledged) write-back stores,
 	// which remain source-ordered under CORD (§4.4).
 	wbPending int
 	wbNextTag uint64
-	// atomicWait holds cores blocked on far-atomic value responses.
-	atomicWait map[uint64]func()
+	// atomicWait is set while the core awaits the value response of the
+	// relaxed far atomic tagged atomicTag.
 	atomicTag  uint64
+	atomicWait bool
 	// relIssued records each epoch's Release issue time for the
 	// release-latency distribution.
 	relIssued map[uint64]sim.Time
-	// InjectedWBBarriers counts §4.4 barrier injections before Release
-	// write-back stores.
-	InjectedWBBarriers int
+
+	// Stall conditions, bound once so that blocking allocates nothing;
+	// waitDir and waitEp parameterize them.
+	waitDir int
+	waitEp  uint64
+
+	unprovisioned, unackedOutside, epochLive, unacked, wbBusy, atomicBusy func() bool
 }
 
 func newCPU(sys *proto.System, id noc.NodeID, ps *stats.ProcStats, cfg Config, cp core.CordParams) *cpu {
@@ -64,11 +65,16 @@ func newCPU(sys *proto.System, id noc.NodeID, ps *stats.ProcStats, cfg Config, c
 		st:         core.NewCordProc(sys.Nodes()),
 		occCnt:     stats.NewOccupancy("proc/store-counter", procCntEntryBytes),
 		occUnacked: stats.NewOccupancy("proc/unacked-epoch", procUnackedEntryBytes),
-		atomicWait: make(map[uint64]func()),
 		relIssued:  make(map[uint64]sim.Time),
 	}
 	c.InitBase(sys, id, ps)
 	c.Exec = c.exec
+	c.unprovisioned = func() bool { return !c.st.Provisioned(c.cp, c.waitDir) }
+	c.unackedOutside = func() bool { return c.st.UnackedOutside(c.waitDir) }
+	c.epochLive = func() bool { return c.st.EpochLive(c.waitEp) }
+	c.unacked = func() bool { return len(c.st.Unacked) > 0 }
+	c.wbBusy = func() bool { return c.wbPending > 0 }
+	c.atomicBusy = func() bool { return c.atomicWait }
 	c.occCnt.Instance = id.String()
 	c.occUnacked.Instance = id.String()
 	sys.Run.Tables = append(sys.Run.Tables, c.occCnt, c.occUnacked)
@@ -95,12 +101,13 @@ func (c *cpu) send(m core.Msg, class stats.MsgClass, bytes int) {
 	c.Sys.Net.Send(c.ID, c.Sys.DirAt(m.Dir), class, bytes, &m)
 }
 
-func (c *cpu) exec(op proto.Op, next func()) {
+// exec runs op from the top; it is also where every Retry resumes.
+func (c *cpu) exec(op proto.Op) {
 	switch op.Kind {
 	case proto.OpAtomic:
-		c.execAtomic(op, next)
+		c.execAtomic(op)
 	case proto.OpStoreWB:
-		c.execWriteBack(op, next)
+		c.execWriteBack(op)
 	case proto.OpStoreWT:
 		ord := op.Ord
 		if c.Sys.Mode == proto.TSO && ord == proto.Relaxed {
@@ -109,16 +116,18 @@ func (c *cpu) exec(op proto.Op, next func()) {
 			ord = proto.Release
 		}
 		if ord == proto.Release {
-			c.execRelease(op, next)
+			c.execRelease(op)
 		} else {
-			c.execRelaxed(op, next)
+			c.execRelaxed(op)
 		}
 	case proto.OpBarrier:
 		switch op.Ord {
 		case proto.Release, proto.SeqCst:
-			c.execBarrier(next)
+			if c.issueBarrier() {
+				c.Await(c.unacked, stats.StallRelease)
+			}
 		default:
-			next()
+			c.Retire()
 		}
 	default:
 		panic(fmt.Sprintf("cord: unexpected op %v", op))
@@ -127,23 +136,15 @@ func (c *cpu) exec(op proto.Op, next func()) {
 
 // --- Relaxed path (Alg. 1 lines 1-4) -------------------------------------
 
-func (c *cpu) execRelaxed(op proto.Op, next func()) {
+func (c *cpu) execRelaxed(op proto.Op) {
 	if c.wcValid && c.wcAddr == op.Addr {
 		// Write-combined with the previous Relaxed store.
-		next()
+		c.Retire()
 		return
 	}
 	d := c.Sys.Index(c.Sys.Map.HomeOf(op.Addr))
-	switch c.st.RelaxedAdmit(c.cp, d) {
-	case core.AdmitOverflow:
-		// Store-counter overflow (§4.1): flush — inject an empty Release to
-		// d and stall until it is acknowledged, resetting the counter.
-		c.flushThen(d, stats.StallOverflow, func() { c.execRelaxed(op, next) })
-		return
-	case core.AdmitTableFull:
-		// Processor store-counter table overflow (§4.3): tracking a new
-		// directory needs a table entry; flush the epoch to recycle them all.
-		c.flushThen(d, stats.StallTableFull, func() { c.execRelaxed(op, next) })
+	if a := c.st.RelaxedAdmit(c.cp, d); a != core.AdmitOK {
+		c.flush(d, a)
 		return
 	}
 	ep, newEntry := c.st.NoteRelaxed(d)
@@ -154,50 +155,63 @@ func (c *cpu) execRelaxed(op proto.Op, next func()) {
 	c.send(core.Msg{Kind: core.MRelaxed, Src: c.Ix, Dir: d, Ep: ep,
 		Addr: uint64(op.Addr), Val: op.Value, Size: op.Size},
 		stats.ClassRelaxedData, proto.HeaderBytes+op.Size+c.cfg.RelaxedOverhead())
-	next()
+	c.Retire()
 }
 
-// flushThen performs an empty Release to dir d (full Release semantics so
-// every pending directory's tables are finalized), stalls the core until it
-// is acknowledged, then resumes.
-func (c *cpu) flushThen(d int, kind stats.StallKind, resume func()) {
+// flush performs an empty Release to dir d (full Release semantics so every
+// pending directory's tables are finalized) and retries the op once it is
+// acknowledged. A relaxed store (or atomic) flushes when d's store counter
+// would overflow (§4.1), or when tracking d needs a processor store-counter
+// table entry and none is free (§4.3): the new epoch recycles them all.
+func (c *cpu) flush(d int, a core.Admit) {
+	kind := stats.StallOverflow
+	if a == core.AdmitTableFull {
+		kind = stats.StallTableFull
+	}
 	if !c.st.Provisioned(c.cp, d) {
-		c.stallProvision(d, func() { c.flushThen(d, kind, resume) })
+		c.stallProvision(d)
 		return
 	}
-	c.OverflowFlushes++
-	flushOp := proto.Op{Kind: proto.OpStoreWT, Ord: proto.Release, Size: 0}
-	c.issueRelease(flushOp, d, func() {
-		flushedEp := c.st.Ep - 1
-		c.StallWhile(func() bool { return c.st.EpochLive(flushedEp) }, kind, resume)
-	})
+	c.issueRelease(proto.Op{Kind: proto.OpStoreWT, Ord: proto.Release, Size: 0}, d)
+	c.waitEp = c.st.Ep - 1
+	c.Retry(c.epochLive, kind)
 }
 
 // --- Release path (Alg. 1 lines 5-13) -------------------------------------
 
-func (c *cpu) execRelease(op proto.Op, next func()) {
+func (c *cpu) execRelease(op proto.Op) {
 	d := c.Sys.Index(c.Sys.Map.HomeOf(op.Addr))
+	if c.releaseReady(d) {
+		c.issueRelease(op, d)
+		c.Retire()
+	}
+}
+
+// releaseReady reports whether a Release to directory d may issue now. If
+// not, the op is blocked and retried: d must be provisioned, and, in the
+// NoNotifications ablation, every other directory drained first.
+func (c *cpu) releaseReady(d int) bool {
 	if !c.st.Provisioned(c.cp, d) {
-		c.stallProvision(d, func() { c.execRelease(op, next) })
-		return
+		c.stallProvision(d)
+		return false
 	}
 	if c.cp.NoNotifications && (c.st.DirtyOutside(d) || c.st.UnackedOutside(d)) {
 		// Ablation: without inter-directory notifications, multi-directory
 		// epochs are source-ordered — drain other directories first.
-		c.execBarrierExcept(d, func() { c.execRelease(op, next) })
-		return
+		c.drainExcept(d)
+		return false
 	}
-	c.issueRelease(op, d, next)
+	return true
 }
 
-// execBarrierExcept drains every directory except index `except`: empty
-// Releases to dirty ones (core.IssueBarrier in drain mode, sharing the
-// current epoch), then a stall for all outstanding acknowledgments not
-// bound for it. Used only by the NoNotifications ablation.
-func (c *cpu) execBarrierExcept(except int, next func()) {
+// drainExcept drains every directory except index `except`: empty Releases
+// to dirty ones (core.IssueBarrier in drain mode, sharing the current
+// epoch), then a stall for all outstanding acknowledgments not bound for it,
+// after which the op is retried. Used only by the NoNotifications ablation.
+func (c *cpu) drainExcept(except int) {
 	msgs, ok, bad := c.st.IssueBarrier(c.cp, except, c.Ix, c.buf[:0])
 	if !ok {
-		c.stallProvision(bad, func() { c.execBarrierExcept(except, next) })
+		c.stallProvision(bad)
 		return
 	}
 	c.buf = msgs
@@ -209,12 +223,8 @@ func (c *cpu) execBarrierExcept(except int, next func()) {
 		}
 	}
 	c.sendBarriers(msgs)
-	if !c.st.UnackedOutside(except) {
-		next()
-		return
-	}
-	c.StallWhile(func() bool { return c.st.UnackedOutside(except) },
-		stats.StallAckWait, next)
+	c.waitDir = except
+	c.Retry(c.unackedOutside, stats.StallAckWait)
 }
 
 // sendBarriers injects core-emitted empty Releases onto the NoC.
@@ -225,19 +235,21 @@ func (c *cpu) sendBarriers(msgs []core.Msg) {
 }
 
 // stallProvision blocks the core until directory d is provisioned for one
-// more Release (§4.3), then retries. The caller found it unprovisioned.
-func (c *cpu) stallProvision(d int, retry func()) {
+// more Release (§4.3), then retries the op. The caller found it
+// unprovisioned.
+func (c *cpu) stallProvision(d int) {
 	kind := stats.StallTableFull
 	if c.st.WindowBlocked(c.cp) {
 		kind = stats.StallOverflow
 	}
-	c.StallWhile(func() bool { return !c.st.Provisioned(c.cp, d) }, kind, retry)
+	c.waitDir = d
+	c.Retry(c.unprovisioned, kind)
 }
 
 // issueRelease delegates the Release (and its notification fan-out) to the
 // core rule and injects the emitted messages in order. The caller has
 // already verified provisioning.
-func (c *cpu) issueRelease(op proto.Op, d int, next func()) {
+func (c *cpu) issueRelease(op proto.Op, d int) {
 	ep := c.st.Ep
 	live := c.st.CntLive
 	rel := core.Msg{Src: c.Ix, Addr: uint64(op.Addr), Val: op.Value,
@@ -258,7 +270,6 @@ func (c *cpu) issueRelease(op proto.Op, d int, next func()) {
 		c.occCnt.Dec()
 	}
 	c.wcValid = false
-	next()
 }
 
 // --- Atomics -----------------------------------------------------------------
@@ -269,38 +280,25 @@ func (c *cpu) issueRelease(op proto.Op, d int, next func()) {
 // the core additionally blocks on the value response — a data dependency
 // that directory ordering cannot remove, which is why atomic-heavy
 // workloads (TQH's task queue) gain least from CORD.
-func (c *cpu) execAtomic(op proto.Op, next func()) {
+func (c *cpu) execAtomic(op proto.Op) {
 	ord := op.Ord
 	if c.Sys.Mode == proto.TSO && ord == proto.Relaxed {
 		ord = proto.Release
 	}
 	d := c.Sys.Index(c.Sys.Map.HomeOf(op.Addr))
 	if ord == proto.Release || ord == proto.SeqCst {
-		if !c.st.Provisioned(c.cp, d) {
-			c.stallProvision(d, func() { c.execAtomic(op, next) })
+		if !c.releaseReady(d) {
 			return
 		}
-		if c.cp.NoNotifications && (c.st.DirtyOutside(d) || c.st.UnackedOutside(d)) {
-			c.execBarrierExcept(d, func() { c.execAtomic(op, next) })
-			return
-		}
-		aop := op
-		aop.Ord = proto.Release
-		c.issueRelease(aop, d, func() {
-			ep := c.st.Ep - 1
-			c.StallWhile(func() bool { return c.st.EpochLive(ep) },
-				stats.StallAcquire, next)
-		})
+		c.issueRelease(op, d)
+		c.waitEp = c.st.Ep - 1
+		c.Await(c.epochLive, stats.StallAcquire)
 		return
 	}
 	// Relaxed atomic: epoch-counted like a Relaxed store, plus the blocking
 	// value response.
-	switch c.st.RelaxedAdmit(c.cp, d) {
-	case core.AdmitOverflow:
-		c.flushThen(d, stats.StallOverflow, func() { c.execAtomic(op, next) })
-		return
-	case core.AdmitTableFull:
-		c.flushThen(d, stats.StallTableFull, func() { c.execAtomic(op, next) })
+	if a := c.st.RelaxedAdmit(c.cp, d); a != core.AdmitOK {
+		c.flush(d, a)
 		return
 	}
 	ep, newEntry := c.st.NoteRelaxed(d)
@@ -309,20 +307,19 @@ func (c *cpu) execAtomic(op proto.Op, next func()) {
 	}
 	c.wcValid = false // atomics never write-combine
 	c.atomicTag++
-	tag := c.atomicTag
-	c.atomicWait[tag] = c.StallUntil(stats.StallAcquire, next)
+	c.atomicWait = true
+	c.Await(c.atomicBusy, stats.StallAcquire)
 	c.send(core.Msg{Kind: core.MRelaxed, Src: c.Ix, Dir: d, Ep: ep,
-		Addr: uint64(op.Addr), Val: op.Value, Size: op.Size, Atomic: true, Tag: tag},
+		Addr: uint64(op.Addr), Val: op.Value, Size: op.Size, Atomic: true, Tag: c.atomicTag},
 		stats.ClassAtomic, proto.HeaderBytes+op.Size+c.cfg.RelaxedOverhead())
 }
 
 func (c *cpu) onAtomicResp(m *core.Msg) {
-	cont, ok := c.atomicWait[m.Tag]
-	if !ok {
+	if !c.atomicWait || m.Tag != c.atomicTag {
 		panic("cord: unknown atomic response tag")
 	}
-	delete(c.atomicWait, m.Tag)
-	cont()
+	c.atomicWait = false
+	c.Recheck()
 }
 
 // --- Write-back stores (§4.4) ----------------------------------------------
@@ -332,26 +329,26 @@ func (c *cpu) onAtomicResp(m *core.Msg) {
 // be source-ordered against them (they have no acknowledgments), so the
 // processor injects a directory-ordered Release barrier and stalls until it
 // is acknowledged before issuing the Release write-back (§4.4).
-func (c *cpu) execWriteBack(op proto.Op, next func()) {
+func (c *cpu) execWriteBack(op proto.Op) {
 	if op.Ord != proto.Release && c.Sys.Mode != proto.TSO {
 		c.sendWB(op)
-		next()
+		c.Retire()
 		return
 	}
 	// Ordering barrier against uncommitted directory-ordered stores.
 	if c.st.Dirty() || len(c.st.Unacked) > 0 {
-		c.InjectedWBBarriers++
-		c.execBarrier(func() { c.execWriteBack(op, next) })
+		if c.issueBarrier() {
+			c.Retry(c.unacked, stats.StallRelease)
+		}
 		return
 	}
 	// Source ordering of the write-back Release against prior write-backs.
 	if c.wbPending > 0 {
-		c.StallWhile(func() bool { return c.wbPending > 0 }, stats.StallAckWait,
-			func() { c.execWriteBack(op, next) })
+		c.Retry(c.wbBusy, stats.StallAckWait)
 		return
 	}
 	c.sendWB(op)
-	next()
+	c.Retire()
 }
 
 func (c *cpu) sendWB(op proto.Op) {
@@ -373,18 +370,19 @@ func (c *cpu) onWBAck() {
 
 // --- Release / SC barrier (§4.4) ------------------------------------------
 
-// execBarrier makes all prior write-through stores globally visible: it
+// issueBarrier makes all prior write-through stores globally visible: it
 // broadcasts an empty directory-ordered Release to every directory holding
-// uncommitted Relaxed stores of the current epoch, and waits for those plus
-// every already-outstanding Release acknowledgment (§4.4). Directories whose
-// only pending work is an in-flight acknowledged-on-commit Release need no
-// new message — their existing ack suffices.
-func (c *cpu) execBarrier(next func()) {
+// uncommitted Relaxed stores of the current epoch; the caller then waits for
+// those plus every already-outstanding Release acknowledgment (§4.4).
+// Directories whose only pending work is an in-flight acknowledged-on-commit
+// Release need no new message — their existing ack suffices. It returns
+// false, and the op is retried, if a target directory is unprovisioned.
+func (c *cpu) issueBarrier() bool {
 	live := c.st.CntLive
 	msgs, ok, bad := c.st.IssueBarrier(c.cp, -1, c.Ix, c.buf[:0])
 	if !ok {
-		c.stallProvision(bad, func() { c.execBarrier(next) })
-		return
+		c.stallProvision(bad)
+		return false
 	}
 	c.buf = msgs
 	if len(msgs) > 0 {
@@ -395,12 +393,7 @@ func (c *cpu) execBarrier(next func()) {
 		}
 	}
 	c.sendBarriers(msgs)
-	if len(c.st.Unacked) == 0 {
-		next()
-		return
-	}
-	c.StallWhile(func() bool { return len(c.st.Unacked) > 0 },
-		stats.StallRelease, next)
+	return true
 }
 
 // --- Acknowledgments (Alg. 1 lines 14-15) ---------------------------------

@@ -227,9 +227,6 @@ func (d *dir) reeval() {
 	}
 }
 
-// PendingBuffered reports recycled messages, for deadlock diagnosis.
-func (d *dir) PendingBuffered() int { return d.st.Buffered() }
-
 // Protocol is the proto.Builder for CORD (and, with SeqBits set, SEQ-N).
 type Protocol struct {
 	Cfg Config

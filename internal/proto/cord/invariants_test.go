@@ -207,7 +207,7 @@ func TestObsDirectoryOrderingInvariant(t *testing.T) {
 }
 
 func TestInvariantWindowRespected(t *testing.T) {
-	// I2 is enforced by stalls; the OverflowFlushes/stall counters show the
+	// I2 is enforced by stalls; the StallOverflow counter shows the
 	// machinery fired, and completion shows it never wedged.
 	cfg := DefaultConfig()
 	cfg.EpochBits = 2

@@ -62,12 +62,12 @@ const (
 // Msg is the protocol message vocabulary shared by the simulator adapters
 // and the model checker. The simulator sends *Msg on the NoC as is; the
 // checker stores Msg values directly in its in-flight multiset. Unused
-// fields stay zero for any given kind.
+// fields stay zero for any given kind. Kind and the flags come last, which
+// packs a Msg into 104 bytes (the 112-byte allocation size class).
 type Msg struct {
-	Kind MsgKind
-	Src  int // issuing processor (dense index)
-	Dir  int // destination (or origin, for responses) directory
-	Dst  int // MReqNotify/MNotify: directory to be notified
+	Src int // issuing processor (dense index)
+	Dir int // destination (or origin, for responses) directory
+	Dst int // MReqNotify/MNotify: directory to be notified
 
 	Addr uint64
 	Val  uint64
@@ -75,15 +75,16 @@ type Msg struct {
 
 	Ep      uint64 // CORD epoch
 	Cnt     uint64 // CORD: expected relaxed-store count; MP: unused
-	HasPrev bool   // CORD: a prior release to the same directory exists
-	PrevEp  uint64 // CORD: that release's epoch
+	PrevEp  uint64 // CORD: epoch of the prior release to the same directory
 	NotiCnt int    // CORD: notifications the release must wait for
 
 	Seq uint64 // MP per-(source, ordering domain) sequence number
 
+	Tag uint64 // driver-owned correlation (atomic tags, checker registers)
+
+	Kind    MsgKind
+	HasPrev bool // CORD: a prior release to the same directory exists (PrevEp)
 	Barrier bool // CORD: empty release carrying no data
 	Atomic  bool // read-modify-write; responses carry the old value in Val
 	Release bool // SO/WB: the store is a release (ack resumes ordering)
-
-	Tag uint64 // driver-owned correlation (atomic tags, checker registers)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // sampleMsg fills every field with a distinct value so single-field
@@ -22,6 +23,15 @@ func TestMsgEncSizeMatches(t *testing.T) {
 	enc := m.AppendBinary(nil)
 	if len(enc) != MsgEncSize {
 		t.Fatalf("encoded Msg is %d bytes, MsgEncSize says %d", len(enc), MsgEncSize)
+	}
+}
+
+// TestMsgPacked holds the in-memory layout of Msg to 104 bytes: the
+// simulator heap-allocates one per message sent, and 104 bytes fit the
+// 112-byte size class where a padded 120-byte layout takes 128.
+func TestMsgPacked(t *testing.T) {
+	if n := unsafe.Sizeof(Msg{}); n > 104 {
+		t.Fatalf("core.Msg is %d bytes, want <= 104: keep the 8-byte fields first and Kind and the flags last", n)
 	}
 }
 

@@ -114,12 +114,3 @@ func (d *DirBase) FetchAdd(addr memsys.Addr, add uint64) uint64 {
 	d.wake(addr)
 	return old
 }
-
-// PendingWaiters reports parked pollers, for tests and deadlock diagnosis.
-func (d *DirBase) PendingWaiters() int {
-	n := 0
-	for _, ws := range d.waiters {
-		n += len(ws)
-	}
-	return n
-}

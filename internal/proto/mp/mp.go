@@ -142,15 +142,23 @@ type cpu struct {
 	proto.ProcBase
 	// st assigns per-destination-host sequence numbers (the ordering
 	// domains of core.MPProc are hosts here).
-	st       core.MPProc
-	nextTag  uint64
-	inflight map[uint64]func()
+	st      core.MPProc
+	nextTag uint64
+	// atomicTag is the non-posted atomic whose response the core waits on;
+	// 0 when none (tags start at 1).
+	atomicTag uint64
+	// flushes counts a barrier's unanswered flushing reads, plus one held
+	// while the barrier sends them.
+	flushes int
 	// buf is the reusable flush fan-out scratch.
 	buf []core.Msg
 	// wcAddr is a one-entry write-combining buffer (posted writes to the
 	// same address merge, as PCIe write-combining does).
 	wcAddr  memsys.Addr
 	wcValid bool
+
+	// Stall conditions, bound once so that blocking allocates nothing.
+	atomicBusy, flushing func() bool
 }
 
 func (c *cpu) handle(_ noc.NodeID, payload any) {
@@ -158,34 +166,32 @@ func (c *cpu) handle(_ noc.NodeID, payload any) {
 	case core.MLoadResp:
 		c.HandleLoadResp(m)
 	case core.MMPFlushOK:
-		cont, ok := c.inflight[m.Tag]
-		if !ok {
+		if c.flushes == 0 {
 			panic("mp: unknown flush tag")
 		}
-		delete(c.inflight, m.Tag)
 		if rec := c.Obs; rec.Take() {
 			rec.Record(obs.Event{At: c.Now(), Kind: obs.KRelAck,
 				Src: c.ID.Obs(), Seq: m.Tag})
 		}
-		cont()
+		c.flushes--
+		c.Recheck()
 	case core.MAtomicResp:
-		cont, ok := c.inflight[m.Tag]
-		if !ok {
+		if m.Tag != c.atomicTag {
 			panic("mp: unknown atomic tag")
 		}
-		delete(c.inflight, m.Tag)
-		cont()
+		c.atomicTag = 0
+		c.Recheck()
 	default:
 		panic(fmt.Sprintf("mp: cpu %v got unexpected message kind %d", c.ID, m.Kind))
 	}
 }
 
-func (c *cpu) exec(op proto.Op, next func()) {
+func (c *cpu) exec(op proto.Op) {
 	switch op.Kind {
 	case proto.OpStoreWT, proto.OpStoreWB:
 		if op.Ord == proto.Relaxed {
 			if c.wcValid && c.wcAddr == op.Addr {
-				next()
+				c.Retire()
 				return
 			}
 			c.wcAddr, c.wcValid = op.Addr, true
@@ -197,20 +203,21 @@ func (c *cpu) exec(op proto.Op, next func()) {
 			class = stats.ClassReleaseData
 		}
 		c.post(op, class, false, 0)
-		next()
+		c.Retire()
 	case proto.OpAtomic:
 		// Non-posted atomic: ordered in the per-host stream, blocks on the
 		// value response.
 		c.wcValid = false
 		c.nextTag++
-		c.inflight[c.nextTag] = c.StallUntil(stats.StallAcquire, next)
+		c.atomicTag = c.nextTag
+		c.Await(c.atomicBusy, stats.StallAcquire)
 		c.post(op, stats.ClassAtomic, true, c.nextTag)
 	case proto.OpBarrier:
 		switch op.Ord {
 		case proto.Release, proto.SeqCst:
-			c.flushAll(next)
+			c.flushAll()
 		default:
-			next()
+			c.Retire()
 		}
 	default:
 		panic(fmt.Sprintf("mp: unexpected op %v", op))
@@ -229,27 +236,20 @@ func (c *cpu) post(op proto.Op, class stats.MsgClass, atomic bool, tag uint64) {
 
 // flushAll issues a flushing read to every host this core posted writes to
 // (core.MPProc's flush fan-out, ascending host order) and stalls until all
-// respond.
-func (c *cpu) flushAll(next func()) {
-	outstanding := 0
-	resume := c.StallUntil(stats.StallRelease, next)
-	done := func() {
-		outstanding--
-		if outstanding == 0 {
-			resume()
-		}
-	}
+// respond. The stall opens before the first send, so a barrier with no
+// flush targets still records a (zero-length) stall.
+func (c *cpu) flushAll() {
+	c.flushes = 1
+	c.Await(c.flushing, stats.StallRelease)
 	c.buf = c.st.FlushTargets(c.Ix, c.buf[:0])
 	for _, f := range c.buf {
-		outstanding++
+		c.flushes++
 		c.nextTag++
-		c.inflight[c.nextTag] = done
 		f.Tag = c.nextTag
 		c.Sys.Net.Send(c.ID, noc.DirID(f.Dir, 0), stats.ClassBarrier, proto.LoadReqBytes, &f)
 	}
-	if outstanding == 0 {
-		resume()
-	}
+	c.flushes--
+	c.Recheck()
 }
 
 // Build implements proto.Builder.
@@ -267,9 +267,11 @@ func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 	}
 	cpus := make([]proto.CPU, len(cores))
 	for i, id := range cores {
-		c := &cpu{st: core.NewMPProc(cfg.Hosts), inflight: make(map[uint64]func())}
+		c := &cpu{st: core.NewMPProc(cfg.Hosts)}
 		c.InitBase(sys, id, &sys.Run.Procs[i])
 		c.Exec = c.exec
+		c.atomicBusy = func() bool { return c.atomicTag != 0 }
+		c.flushing = func() bool { return c.flushes > 0 }
 		sys.Net.Register(id, c.handle)
 		cpus[i] = c
 	}

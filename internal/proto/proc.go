@@ -20,6 +20,11 @@ const IssueCycles = 1
 // Program is just the trivial source — so the stream may be produced
 // reactively, at simulated time, by a workload that decides each op only once
 // the previous one retired. Protocol processor types embed it.
+//
+// ProcBase owns the op in execution, and the protocol finishes it with
+// Retire, Retry or Await. A blocked op is plain state (a condition and a
+// stall kind), never a continuation: handlers update the state the
+// condition reads and call Recheck.
 type ProcBase struct {
 	Sys *System
 	ID  noc.NodeID
@@ -32,25 +37,33 @@ type ProcBase struct {
 	Eng *sim.Engine
 	Obs *obs.Recorder
 
-	// Exec performs a store or barrier op and calls next() when the core may
-	// proceed to the following op in program order. The protocol sets it.
-	Exec func(op Op, next func())
+	// Exec starts a store, atomic or barrier op; the protocol sets it.
+	Exec func(op Op)
 
-	src        OpSource
-	pending    Op
+	src  OpSource
+	seq  uint64
+	done bool
+	step func() // Step, bound once so issuing an op allocates nothing
+
+	// op is the op in execution (or, if hasPending, the one StartSource
+	// pulled). If traced, Retire records its KOpDone.
+	op         Op
 	hasPending bool
-	seq        uint64
-	done       bool
-	nextTag    uint64
-	acquires   map[uint64]func()
+	traced     bool
+	issued     sim.Time
 
-	// step is Step and next schedules it one issue cycle out, both bound
-	// once at InitBase so issuing an op allocates neither.
-	step, next func()
-	// stallCond and stallResume are the core's one blocked-op slot (at most
-	// one op is in flight per core): see StallWhile.
+	// acquiring is set while the acquire poll tagged acqTag (the count of
+	// answered polls) is outstanding; polling reads it.
+	acqTag    uint64
+	acquiring bool
+	polling   func() bool
+
+	// The core's one blocked-op slot (see Retry and Await).
 	stallCond   func() bool
-	stallResume func()
+	stallKind   stats.StallKind
+	stallStart  sim.Time
+	stallTraced bool
+	stallRetry  bool
 }
 
 // InitBase prepares the embedded fields.
@@ -61,9 +74,8 @@ func (p *ProcBase) InitBase(sys *System, id noc.NodeID, ps *stats.ProcStats) {
 	p.PS = ps
 	p.Eng = sys.EngOf(id.Host)
 	p.Obs = sys.ObsOf(id.Host)
-	p.acquires = make(map[uint64]func())
 	p.step = p.Step
-	p.next = func() { p.Eng.Schedule(IssueCycles, p.step) }
+	p.polling = func() bool { return p.acquiring }
 }
 
 // Start begins executing a static program (the trivial OpSource).
@@ -86,7 +98,7 @@ func (p *ProcBase) StartSource(src OpSource) {
 		p.PS.Finished = p.Eng.Now()
 		return
 	}
-	p.pending, p.hasPending = op, true
+	p.op, p.hasPending = op, true
 	p.Eng.Schedule(0, p.step)
 }
 
@@ -94,15 +106,12 @@ func (p *ProcBase) StartSource(src OpSource) {
 func (p *ProcBase) Done() bool { return p.done }
 
 // Step executes the next op — the one stashed by StartSource, or freshly
-// pulled from the source now that the previous op has retired. The protocol's
-// Exec (or the base's own handling) calls back to advance.
+// pulled from the source now that the previous op has retired.
 func (p *ProcBase) Step() {
-	var op Op
 	if p.hasPending {
-		op, p.hasPending = p.pending, false
+		p.hasPending = false
 	} else {
-		var ok bool
-		op, ok = p.src.Next(p.Eng.Now())
+		op, ok := p.src.Next(p.Eng.Now())
 		if !ok {
 			if !p.done {
 				p.done = true
@@ -110,40 +119,30 @@ func (p *ProcBase) Step() {
 			}
 			return
 		}
+		p.op = op
 	}
-	opSeq := p.seq
+	op := p.op
 	p.seq++
 	p.PS.Ops++
-	next := p.next
-	if rec := p.Obs; rec.Take() {
+	p.traced = p.Obs.Take()
+	if p.traced {
 		// One sampling decision covers the op's whole lifecycle: issue now,
-		// done when the protocol releases the core. Compute ops are a single
-		// issue event carrying their (known) duration.
-		issued := p.Eng.Now()
-		src := p.ID.Obs()
-		ev := obs.Event{At: issued, Kind: obs.KOpIssue, Src: src, Seq: opSeq,
+		// done when the protocol retires it. Compute ops are a single issue
+		// event carrying their (known) duration.
+		p.issued = p.Eng.Now()
+		ev := obs.Event{At: p.issued, Kind: obs.KOpIssue, Src: p.ID.Obs(), Seq: p.seq - 1,
 			Addr: uint64(op.Addr), Op: uint8(op.Kind), Ord: uint8(op.Ord)}
 		if op.Kind == OpCompute {
 			ev.Dur = op.Cycles
 		}
-		rec.Record(ev)
-		if op.Kind != OpCompute {
-			inner := next
-			next = func() {
-				now := p.Eng.Now()
-				rec.Record(obs.Event{At: now, Kind: obs.KOpDone, Src: src,
-					Seq: opSeq, Addr: uint64(op.Addr), Dur: now - issued,
-					Op: uint8(op.Kind), Ord: uint8(op.Ord)})
-				inner()
-			}
-		}
+		p.Obs.Record(ev)
 	}
 	switch op.Kind {
 	case OpCompute:
 		p.PS.ComputeCyc += op.Cycles
 		p.Eng.Schedule(op.Cycles, p.step)
 	case OpAcquire:
-		p.beginAcquire(op, next)
+		p.beginAcquire(op)
 	case OpStoreWT, OpStoreWB, OpBarrier, OpAtomic:
 		if op.Kind == OpStoreWT || op.Kind == OpStoreWB || op.Kind == OpAtomic {
 			if op.Ord == Release {
@@ -155,93 +154,104 @@ func (p *ProcBase) Step() {
 		if p.Exec == nil {
 			panic("proto: ProcBase.Exec not set by protocol")
 		}
-		p.Exec(op, next)
+		p.Exec(op)
 	default:
 		panic(fmt.Sprintf("proto: unknown op kind %v", op.Kind))
 	}
 }
 
-// beginAcquire sends the poll request and blocks the core until the response
-// arrives, charging the wait to StallAcquire. The flag's home directory
-// answers once the flag reaches op.Value, so a logically spinning consumer
-// costs one MLoadReq/MLoadResp pair on the wire (the spin itself hits the
-// consumer's local cached copy and is not simulated message-by-message).
-func (p *ProcBase) beginAcquire(op Op, next func()) {
-	start := p.Eng.Now()
-	tag := p.nextTag
-	p.nextTag++
-	p.acquires[tag] = func() {
-		d := p.Eng.Now() - start
-		p.PS.AddStall(stats.StallAcquire, d)
-		p.Obs.AddStall(stats.StallAcquire, d)
-		next()
+// Retire finishes the op in execution: the core issues the next op one
+// issue cycle from now.
+func (p *ProcBase) Retire() {
+	if p.traced {
+		now := p.Eng.Now()
+		p.Obs.Record(obs.Event{At: now, Kind: obs.KOpDone, Src: p.ID.Obs(),
+			Seq: p.seq - 1, Addr: uint64(p.op.Addr), Dur: now - p.issued,
+			Op: uint8(p.op.Kind), Ord: uint8(p.op.Ord)})
 	}
-	home := p.Sys.Map.HomeOf(op.Addr)
-	p.Sys.Net.Send(p.ID, home, stats.ClassLoadReq, LoadReqBytes,
-		&core.Msg{Kind: core.MLoadReq, Src: p.Ix, Dir: p.Sys.Index(home),
-			Addr: uint64(op.Addr), Val: op.Value, Tag: tag})
+	p.Eng.Schedule(IssueCycles, p.step)
 }
 
-// HandleLoadResp resumes the acquire waiting on the response's tag. Protocol
-// core handlers route MLoadResp messages here.
-func (p *ProcBase) HandleLoadResp(m *core.Msg) {
-	cont, ok := p.acquires[m.Tag]
-	if !ok {
-		panic(fmt.Sprintf("proto: %v got MLoadResp with unknown tag %d", p.ID, m.Tag))
-	}
-	delete(p.acquires, m.Tag)
-	cont()
-}
+// Retry blocks the core while cond holds, charging the stall to kind, then
+// runs Exec again on the same op (at once, uncharged, if cond is false).
+func (p *ProcBase) Retry(cond func() bool, kind stats.StallKind) { p.stall(cond, kind, true, true) }
 
-// StallUntil charges kind for the duration between now and the moment
-// release() is invoked; it returns the function to call when the stall ends.
-// When tracing is on, the stall is bracketed by KStallBegin/KStallEnd events
-// under one sampling decision.
-func (p *ProcBase) StallUntil(kind stats.StallKind, resume func()) func() {
-	start := p.Eng.Now()
-	rec := p.Obs
-	traced := rec.Take()
-	if traced {
-		rec.Record(obs.Event{At: start, Kind: obs.KStallBegin,
-			Src: p.ID.Obs(), Seq: uint64(kind)})
-	}
-	return func() {
-		d := p.Eng.Now() - start
-		p.PS.AddStall(kind, d)
-		rec.AddStall(kind, d)
-		if traced {
-			rec.Record(obs.Event{At: p.Eng.Now(), Kind: obs.KStallEnd,
-				Src: p.ID.Obs(), Seq: uint64(kind), Dur: d})
-		}
-		resume()
-	}
-}
+// Await blocks the core while cond holds, charging the stall to kind, then
+// retires the op (at once, uncharged, if cond is false).
+func (p *ProcBase) Await(cond func() bool, kind stats.StallKind) { p.stall(cond, kind, false, true) }
 
-// StallWhile blocks the core while cond holds, charging the stall to kind
-// (see StallUntil), then runs resume. If cond is already false, resume runs
-// at once and nothing is charged. A core holds at most one blocked op:
-// handlers call Recheck after every state change that may end the stall.
-func (p *ProcBase) StallWhile(cond func() bool, kind stats.StallKind, resume func()) {
+// stall fills the core's one blocked-op slot, unless cond is already false.
+// A traced stall is bracketed by KStallBegin/KStallEnd events under one
+// sampling decision.
+func (p *ProcBase) stall(cond func() bool, kind stats.StallKind, retry, traced bool) {
 	if !cond() {
-		resume()
+		p.finish(retry)
 		return
 	}
 	if p.stallCond != nil {
 		panic(fmt.Sprintf("proto: core %v blocked twice", p.ID))
 	}
-	p.stallCond = cond
-	p.stallResume = p.StallUntil(kind, resume)
+	p.stallCond, p.stallKind, p.stallRetry = cond, kind, retry
+	p.stallStart = p.Eng.Now()
+	p.stallTraced = traced && p.Obs.Take()
+	if p.stallTraced {
+		p.Obs.Record(obs.Event{At: p.stallStart, Kind: obs.KStallBegin,
+			Src: p.ID.Obs(), Seq: uint64(kind)})
+	}
 }
 
-// Recheck resumes the blocked op if its StallWhile condition no longer
-// holds. It is a no-op when no op is blocked.
+// Recheck ends the stall if its condition no longer holds, then retries or
+// retires the blocked op. Handlers call it after every state change that may
+// end a stall.
 func (p *ProcBase) Recheck() {
 	if p.stallCond == nil || p.stallCond() {
 		return
 	}
-	resume := p.stallResume
-	p.stallCond, p.stallResume = nil, nil
-	resume()
+	p.stallCond = nil
+	kind := p.stallKind
+	d := p.Eng.Now() - p.stallStart
+	p.PS.AddStall(kind, d)
+	p.Obs.AddStall(kind, d)
+	if p.stallTraced {
+		p.Obs.Record(obs.Event{At: p.Eng.Now(), Kind: obs.KStallEnd,
+			Src: p.ID.Obs(), Seq: uint64(kind), Dur: d})
+	}
+	p.finish(p.stallRetry)
+}
+
+// finish retries or retires the op in execution.
+func (p *ProcBase) finish(retry bool) {
+	if retry {
+		p.Exec(p.op)
+	} else {
+		p.Retire()
+	}
+}
+
+// beginAcquire sends the poll request and blocks the core until the response
+// arrives, charging the wait to StallAcquire (untraced). The flag's home
+// directory answers once the flag reaches op.Value, so a logically spinning
+// consumer costs one MLoadReq/MLoadResp pair on the wire (the spin itself
+// hits the consumer's local cached copy and is not simulated
+// message-by-message).
+func (p *ProcBase) beginAcquire(op Op) {
+	p.acquiring = true
+	p.stall(p.polling, stats.StallAcquire, false, false)
+	home := p.Sys.Map.HomeOf(op.Addr)
+	p.Sys.Net.Send(p.ID, home, stats.ClassLoadReq, LoadReqBytes,
+		&core.Msg{Kind: core.MLoadReq, Src: p.Ix, Dir: p.Sys.Index(home),
+			Addr: uint64(op.Addr), Val: op.Value, Tag: p.acqTag})
+}
+
+// HandleLoadResp ends the acquire waiting on the response. Protocol
+// handlers route MLoadResp messages here.
+func (p *ProcBase) HandleLoadResp(m *core.Msg) {
+	if !p.acquiring || m.Tag != p.acqTag {
+		panic(fmt.Sprintf("proto: %v got MLoadResp with unknown tag %d", p.ID, m.Tag))
+	}
+	p.acquiring = false
+	p.acqTag++
+	p.Recheck()
 }
 
 // Now is shorthand for the engine clock.

@@ -44,15 +44,15 @@ func (nullProto) Build(sys *System, cores []noc.NodeID) []CPU {
 	for i, id := range cores {
 		c := &nullCPU{}
 		c.InitBase(sys, id, &sys.Run.Procs[i])
-		c.Exec = func(op Op, next func()) {
+		c.Exec = func(op Op) {
 			switch op.Kind {
 			case OpStoreWT, OpStoreWB:
 				home := sys.Map.HomeOf(op.Addr)
 				sys.Net.Send(c.ID, home, stats.ClassRelaxedData, HeaderBytes+op.Size,
 					&core.Msg{Kind: core.MRelaxed, Addr: uint64(op.Addr), Val: op.Value})
-				next()
+				c.Retire()
 			case OpBarrier:
-				next()
+				c.Retire()
 			}
 		}
 		sys.Net.Register(id, func(_ noc.NodeID, payload any) {

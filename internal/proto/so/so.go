@@ -51,9 +51,13 @@ func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 	}
 	cpus := make([]proto.CPU, len(cores))
 	for i, id := range cores {
-		c := &cpu{cfg: p.Cfg, atomicWait: make(map[uint64]func()), relSent: make(map[uint64]sim.Time)}
+		c := &cpu{cfg: p.Cfg}
 		c.InitBase(sys, id, &sys.Run.Procs[i])
 		c.Exec = c.exec
+		c.undrained = func() bool { return !c.st.CanIssueOrdered() }
+		c.atomicBusy = func() bool { return c.atomicTag != 0 }
+		c.bufFull = func() bool { return len(c.buf) >= c.cfg.StoreBufCap }
+		c.tsoBusy = func() bool { return len(c.buf) > 0 || !c.st.Drained() }
 		sys.Net.Register(id, c.handle)
 		cpus[i] = c
 	}
@@ -72,22 +76,25 @@ type cpu struct {
 
 	st      core.SOProc // outstanding write-through stores (RC mode)
 	nextTag uint64      // store tags for ack matching
-	// atomicWait is the continuation blocked on an atomic's response.
-	atomicWait map[uint64]func()
-	// relSent records Release store send times by tag.
-	relSent map[uint64]sim.Time
+	// atomicTag is the far atomic whose response the core waits on; 0 when
+	// none (tags start at 1).
+	atomicTag uint64
+	// relTag and relAt are the in-flight non-atomic Release store (0 when
+	// none: a Release waits for every prior ack, so at most one is in
+	// flight) and its send time, for the release-latency distribution.
+	relTag uint64
+	relAt  sim.Time
 	// wcAddr implements a one-entry write-combining buffer: consecutive
 	// Relaxed stores to the same address merge into one wire transaction.
 	wcAddr  memsys.Addr
 	wcValid bool
 
 	// TSO store buffer: stores queued for serial, in-order drain.
-	buf      []bufEntry
+	buf      []proto.Op
 	draining bool
-}
 
-type bufEntry struct {
-	op proto.Op
+	// Stall conditions, bound once so that blocking allocates nothing.
+	undrained, atomicBusy, bufFull, tsoBusy func() bool
 }
 
 func (c *cpu) handle(_ noc.NodeID, payload any) {
@@ -101,9 +108,9 @@ func (c *cpu) handle(_ noc.NodeID, payload any) {
 	}
 }
 
-func (c *cpu) exec(op proto.Op, next func()) {
+func (c *cpu) exec(op proto.Op) {
 	if c.Sys.Mode == proto.TSO {
-		c.execTSO(op, next)
+		c.execTSO(op)
 		return
 	}
 	switch op.Kind {
@@ -112,54 +119,56 @@ func (c *cpu) exec(op proto.Op, next func()) {
 		// through the same ordered path.
 		if op.Ord == proto.Release {
 			c.wcValid = false
-			c.whenDrained(stats.StallAckWait, func() {
+			if c.drained() {
 				c.send(op, true, false)
-				next()
-			})
+				c.Retire()
+			}
 			return
 		}
 		if c.wcValid && c.wcAddr == op.Addr {
 			// Write-combined: the in-flight transaction absorbs the store.
-			next()
+			c.Retire()
 			return
 		}
 		c.wcAddr, c.wcValid = op.Addr, true
 		c.send(op, false, false)
-		next()
+		c.Retire()
 	case proto.OpAtomic:
 		// Far atomics are source-ordered like stores; the core additionally
 		// blocks on the value response (a true data dependency).
-		issue := func() {
-			c.send(op, op.Ord == proto.Release, true)
-			c.atomicWait[c.nextTag] = c.StallUntil(stats.StallAcquire, next)
-		}
-		if op.Ord == proto.Release || op.Ord == proto.SeqCst {
-			c.whenDrained(stats.StallAckWait, issue)
+		if (op.Ord == proto.Release || op.Ord == proto.SeqCst) && !c.drained() {
 			return
 		}
-		issue()
+		c.issueAtomic(op)
 	case proto.OpBarrier:
 		switch op.Ord {
 		case proto.Release, proto.SeqCst:
 			// A release barrier completes when all prior write-through
 			// stores are acknowledged.
-			c.whenDrained(stats.StallAckWait, next)
+			c.Await(c.undrained, stats.StallAckWait)
 		default: // Acquire barriers need no store-side handling (§4.4).
-			next()
+			c.Retire()
 		}
 	default:
 		panic(fmt.Sprintf("so: unexpected op %v", op))
 	}
 }
 
-// whenDrained runs fn once all stores are acknowledged (core.SOProc's
-// ordering rule), charging any wait to the given stall kind.
-func (c *cpu) whenDrained(kind stats.StallKind, fn func()) {
+// drained reports whether every store is acknowledged (core.SOProc's
+// ordering rule); if not, the op is retried once it is.
+func (c *cpu) drained() bool {
 	if c.st.CanIssueOrdered() {
-		fn()
-		return
+		return true
 	}
-	c.StallWhile(func() bool { return !c.st.CanIssueOrdered() }, kind, fn)
+	c.Retry(c.undrained, stats.StallAckWait)
+	return false
+}
+
+// issueAtomic sends a far atomic and blocks the core on its response.
+func (c *cpu) issueAtomic(op proto.Op) {
+	c.send(op, op.Ord == proto.Release, true)
+	c.atomicTag = c.nextTag
+	c.Await(c.atomicBusy, stats.StallAcquire)
 }
 
 // send puts a store (or far atomic) on the wire under a fresh ack tag.
@@ -172,7 +181,7 @@ func (c *cpu) send(op proto.Op, release, atomic bool) {
 		class = stats.ClassAtomic
 	case release:
 		class = stats.ClassReleaseData
-		c.relSent[c.nextTag] = c.Now()
+		c.relTag, c.relAt = c.nextTag, c.Now()
 	}
 	home := c.Sys.Map.HomeOf(op.Addr)
 	c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+op.Size, &core.Msg{
@@ -183,18 +192,17 @@ func (c *cpu) send(op proto.Op, release, atomic bool) {
 
 func (c *cpu) onAck(m *core.Msg) {
 	c.st.NoteAck()
-	if at, ok := c.relSent[m.Tag]; ok {
-		lat := c.Now() - at
+	if m.Tag == c.relTag {
+		lat := c.Now() - c.relAt
 		c.PS.ReleaseLatency.Add(lat)
-		delete(c.relSent, m.Tag)
+		c.relTag = 0
 		if rec := c.Obs; rec.Take() {
 			rec.Record(obs.Event{At: c.Now(), Kind: obs.KRelAck,
 				Src: c.ID.Obs(), Seq: m.Tag, Dur: lat})
 		}
 	}
-	if cont, ok := c.atomicWait[m.Tag]; ok {
-		delete(c.atomicWait, m.Tag)
-		cont()
+	if m.Tag == c.atomicTag {
+		c.atomicTag = 0
 	}
 	c.Recheck()
 	if c.Sys.Mode == proto.TSO {
@@ -204,35 +212,32 @@ func (c *cpu) onAck(m *core.Msg) {
 
 // --- TSO mode -----------------------------------------------------------
 
-func (c *cpu) execTSO(op proto.Op, next func()) {
+func (c *cpu) execTSO(op proto.Op) {
 	switch op.Kind {
 	case proto.OpAtomic:
 		// TSO atomics drain the store buffer, execute, and block.
-		c.whenEmptyTSO(func() {
-			c.send(op, op.Ord == proto.Release, true)
-			c.atomicWait[c.nextTag] = c.StallUntil(stats.StallAcquire, next)
-		})
+		if c.tsoBusy() {
+			c.Retry(c.tsoBusy, stats.StallAckWait)
+			return
+		}
+		c.issueAtomic(op)
 	case proto.OpStoreWT, proto.OpStoreWB:
 		if len(c.buf) >= c.cfg.StoreBufCap {
-			c.StallWhile(func() bool { return len(c.buf) >= c.cfg.StoreBufCap },
-				stats.StallStoreBuf, func() {
-					c.enqueue(op)
-					next()
-				})
+			c.Retry(c.bufFull, stats.StallStoreBuf)
 			return
 		}
 		c.enqueue(op)
-		next()
+		c.Retire()
 	case proto.OpBarrier:
 		// Any barrier under TSO drains the store buffer.
-		c.whenEmptyTSO(next)
+		c.Await(c.tsoBusy, stats.StallAckWait)
 	default:
 		panic(fmt.Sprintf("so: unexpected op %v", op))
 	}
 }
 
 func (c *cpu) enqueue(op proto.Op) {
-	c.buf = append(c.buf, bufEntry{op: op})
+	c.buf = append(c.buf, op)
 	if !c.draining {
 		c.drainNext()
 	}
@@ -247,19 +252,10 @@ func (c *cpu) drainNext() {
 		return
 	}
 	c.draining = true
-	e := c.buf[0]
+	op := c.buf[0]
 	c.buf = c.buf[1:]
-	c.send(e.op, e.op.Ord == proto.Release, false)
+	c.send(op, op.Ord == proto.Release, false)
 	c.Recheck() // buffer space freed
-}
-
-func (c *cpu) whenEmptyTSO(fn func()) {
-	if len(c.buf) == 0 && c.st.Drained() {
-		fn()
-		return
-	}
-	c.StallWhile(func() bool { return len(c.buf) > 0 || !c.st.Drained() },
-		stats.StallAckWait, fn)
 }
 
 // dir is the source-ordering directory: commit, then acknowledge.

@@ -76,12 +76,18 @@ type cpu struct {
 	// ack accounting — and decides store admission and flush eligibility.
 	st      core.WBProc
 	nextTag uint64
-	// atomicWait holds cores blocked on far-atomic value responses.
-	atomicWait map[uint64]func()
+	// atomicTag is the far atomic whose response the core waits on; 0 when
+	// none (tags start at 1).
+	atomicTag uint64
+	// fetchLine is the line a TSO store miss waits to own.
+	fetchLine uint64
 	// hitToggle lets store hits retire at two per cycle: write-back hits
 	// drain into the L1 at full pipeline width, unlike write-through stores
 	// which each occupy a write-combining/egress slot.
 	hitToggle bool
+
+	// Stall conditions, bound once so that blocking allocates nothing.
+	atomicBusy, mshrFull, fetching, cannotFlush, undrained func() bool
 }
 
 func (c *cpu) handle(_ noc.NodeID, payload any) {
@@ -93,9 +99,8 @@ func (c *cpu) handle(_ noc.NodeID, payload any) {
 		c.Recheck()
 	case core.MWBAck:
 		c.st.NoteAck()
-		if cont, ok := c.atomicWait[m.Tag]; ok {
-			delete(c.atomicWait, m.Tag)
-			cont()
+		if m.Tag == c.atomicTag {
+			c.atomicTag = 0
 		}
 		c.Recheck()
 	default:
@@ -111,45 +116,48 @@ func (c *cpu) sendFlag(op proto.Op, class stats.MsgClass, atomic bool, tag uint6
 			Addr: uint64(op.Addr), Val: op.Value, Size: op.Size, Atomic: atomic, Tag: tag})
 }
 
-func (c *cpu) exec(op proto.Op, next func()) {
+func (c *cpu) exec(op proto.Op) {
 	switch op.Kind {
 	case proto.OpAtomic:
 		// Atomics execute at the home directory (uncached far atomics);
 		// Release atomics flush dirty lines first, like Release stores.
-		issue := func() {
-			c.nextTag++
-			c.st.NoteFlag()
-			tag := c.nextTag
-			c.atomicWait[tag] = c.StallUntil(stats.StallAcquire, next)
-			c.sendFlag(op, stats.ClassAtomic, true, tag)
-		}
-		if op.Ord == proto.Release || op.Ord == proto.SeqCst || c.Sys.Mode == proto.TSO {
-			c.flushThen(stats.StallAckWait, issue)
+		if (op.Ord == proto.Release || op.Ord == proto.SeqCst || c.Sys.Mode == proto.TSO) && !c.flushed() {
 			return
 		}
-		issue()
+		c.nextTag++
+		c.st.NoteFlag()
+		c.atomicTag = c.nextTag
+		c.Await(c.atomicBusy, stats.StallAcquire)
+		c.sendFlag(op, stats.ClassAtomic, true, c.atomicTag)
 	case proto.OpStoreWT, proto.OpStoreWB:
 		// Under the WB scheme all stores use the write-back policy.
 		if op.Ord == proto.Release {
-			c.execRelease(op, next)
+			// Flush all dirty lines, wait for their acknowledgments, then
+			// publish the flag (which the next Release's drain will wait on).
+			if c.flushed() {
+				c.nextTag++
+				c.st.NoteFlag()
+				c.sendFlag(op, stats.ClassReleaseData, false, c.nextTag)
+				c.Retire()
+			}
 		} else {
-			c.execStore(op, next)
+			c.execStore(op)
 		}
 	case proto.OpBarrier:
 		switch op.Ord {
 		case proto.Release, proto.SeqCst:
-			c.flushThen(stats.StallAckWait, func() {
-				c.whenPendingDrained(stats.StallAckWait, next)
-			})
+			if c.flushed() {
+				c.Retire()
+			}
 		default:
-			next()
+			c.Retire()
 		}
 	default:
 		panic(fmt.Sprintf("wb: unexpected op %v", op))
 	}
 }
 
-func (c *cpu) execStore(op proto.Op, next func()) {
+func (c *cpu) execStore(op proto.Op) {
 	line := op.Addr.Line()
 	switch c.st.StoreAdmit(c.cfg.MSHRs, uint64(line)) {
 	case core.WBHit:
@@ -160,11 +168,10 @@ func (c *cpu) execStore(op proto.Op, next func()) {
 		if c.hitToggle {
 			c.Eng.Schedule(0, c.Step)
 		} else {
-			next()
+			c.Retire()
 		}
 	case core.WBMSHRFull:
-		c.StallWhile(func() bool { return c.st.MSHR >= c.cfg.MSHRs }, stats.StallStoreBuf,
-			func() { c.execStore(op, next) })
+		c.Retry(c.mshrFull, stats.StallStoreBuf)
 	case core.WBMiss:
 		c.st.BeginFetch(uint64(line))
 		c.st.RecordDirty(uint64(line), uint64(op.Addr), op.Value)
@@ -174,43 +181,35 @@ func (c *cpu) execStore(op proto.Op, next func()) {
 		if c.Sys.Mode == proto.TSO {
 			// TSO source-orders every store: the next op retires only after
 			// ownership (and hence global order) is established.
-			c.StallWhile(func() bool { return c.st.Fetching[uint64(line)] }, stats.StallStoreBuf, next)
+			c.fetchLine = uint64(line)
+			c.Await(c.fetching, stats.StallStoreBuf)
 			return
 		}
-		next()
+		c.Retire()
 	}
 }
 
-// execRelease flushes all dirty lines, waits for their acknowledgments, then
-// publishes the flag (which the next Release's drain will wait on).
-func (c *cpu) execRelease(op proto.Op, next func()) {
-	c.flushThen(stats.StallAckWait, func() {
+// flushed drains the MSHRs, writes every dirty line back and reports
+// whether all write-backs and flag stores are acknowledged; if not, the op
+// is retried once they are. The retry finds nothing dirty and no fetch
+// outstanding (a blocked core issues nothing), so it passes straight on.
+func (c *cpu) flushed() bool {
+	if !c.st.CanFlush() {
+		c.Retry(c.cannotFlush, stats.StallAckWait)
+		return false
+	}
+	c.st.FlushLines(func(line uint64, vals map[uint64]uint64) {
 		c.nextTag++
-		c.st.NoteFlag()
-		c.sendFlag(op, stats.ClassReleaseData, false, c.nextTag)
-		next()
+		home := c.Sys.Map.HomeOf(memsys.Addr(line))
+		c.Sys.Net.Send(c.ID, home, stats.ClassWriteback,
+			proto.HeaderBytes+memsys.LineBytes,
+			&lineData{Line: memsys.Addr(line), Vals: vals, Tag: c.nextTag})
 	})
-}
-
-// flushThen drains MSHRs, writes back every dirty line, waits for all
-// acknowledgments (including prior flag stores), then runs fn.
-func (c *cpu) flushThen(kind stats.StallKind, fn func()) {
-	c.StallWhile(func() bool { return !c.st.CanFlush() }, kind, func() {
-		c.st.FlushLines(func(line uint64, vals map[uint64]uint64) {
-			c.nextTag++
-			home := c.Sys.Map.HomeOf(memsys.Addr(line))
-			c.Sys.Net.Send(c.ID, home, stats.ClassWriteback,
-				proto.HeaderBytes+memsys.LineBytes,
-				&lineData{Line: memsys.Addr(line), Vals: vals, Tag: c.nextTag})
-		})
-		c.whenPendingDrained(kind, fn)
-	})
-}
-
-// whenPendingDrained runs fn once every write-back and flag store is
-// acknowledged, charging any wait to kind.
-func (c *cpu) whenPendingDrained(kind stats.StallKind, fn func()) {
-	c.StallWhile(func() bool { return !c.st.Drained() }, kind, fn)
+	if !c.st.Drained() {
+		c.Retry(c.undrained, stats.StallAckWait)
+		return false
+	}
+	return true
 }
 
 // dir is the WB home directory: grants ownership, absorbs write-backs,
@@ -275,13 +274,14 @@ func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 	}
 	cpus := make([]proto.CPU, len(cores))
 	for i, id := range cores {
-		c := &cpu{
-			cfg:        p.Cfg,
-			st:         core.NewWBProc(),
-			atomicWait: make(map[uint64]func()),
-		}
+		c := &cpu{cfg: p.Cfg, st: core.NewWBProc()}
 		c.InitBase(sys, id, &sys.Run.Procs[i])
 		c.Exec = c.exec
+		c.atomicBusy = func() bool { return c.atomicTag != 0 }
+		c.mshrFull = func() bool { return c.st.MSHR >= c.cfg.MSHRs }
+		c.fetching = func() bool { return c.st.Fetching[c.fetchLine] }
+		c.cannotFlush = func() bool { return !c.st.CanFlush() }
+		c.undrained = func() bool { return !c.st.Drained() }
 		sys.Net.Register(id, c.handle)
 		cpus[i] = c
 	}
