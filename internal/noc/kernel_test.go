@@ -148,3 +148,76 @@ func TestSendTracedAllocBounded(t *testing.T) {
 		t.Fatalf("traced Send allocates %.2f per message, want <= 4", perMsg)
 	}
 }
+
+// flushRig drives the partitioned network's window barrier by hand, the way
+// sim.Cluster does: Flush to the window's deadline, run every shard to it,
+// census Flush. Every host sends a few small cross-host messages per window,
+// and once every 32 windows each host sends a burst that its 1 B/cycle
+// egress port serializes over more than 4096 cycles, so the buffer always
+// holds a queueing tail far past the horizon. The average load stays below
+// the link rate, so the rig reaches a steady state.
+type flushRig struct {
+	n       *Network
+	engines []*sim.Engine
+	w       sim.Time
+	horizon sim.Time
+	window  int
+	driver  sim.DeliverFunc
+}
+
+func newFlushRig() *flushRig {
+	cfg := CXLConfig()
+	cfg.LinkBytesPerCycle = 1
+	cl, n := partitionedNet(cfg, 1)
+	r := &flushRig{n: n, engines: cl.Engines(), w: cfg.Lookahead()}
+	payload := any(&benchMsg{v: 42})
+	r.driver = func(src uint64, _ any) {
+		h := int(src)
+		k, size := 4, 16
+		if r.window%32 == 4*h {
+			k, size = 80, 64
+		}
+		for i := 0; i < k; i++ {
+			dst := (h + 1 + i%(cfg.Hosts-1)) % cfg.Hosts
+			n.Send(CoreID(h, i%cfg.TilesPerHost), DirID(dst, i%cfg.TilesPerHost),
+				stats.ClassRelaxedData, size, payload)
+		}
+	}
+	return r
+}
+
+// step runs one window: every host's sends fire on its first cycle.
+func (r *flushRig) step() {
+	next := r.horizon + r.w
+	for h, e := range r.engines {
+		e.ScheduleDeliverAt(r.horizon+1, r.driver, uint64(h), nil)
+	}
+	r.n.Flush(next)
+	for _, e := range r.engines {
+		if err := e.RunUntil(next); err != nil {
+			panic(err)
+		}
+	}
+	r.n.Flush(next)
+	r.horizon = next
+	r.window++
+}
+
+// TestFlushZeroAllocSteadyState holds the window barrier to zero
+// allocations once its buffers have grown: outbox appends, filing into the
+// arrival calendar (overflow heap included), in-order injection, and the
+// census Flush.
+func TestFlushZeroAllocSteadyState(t *testing.T) {
+	r := newFlushRig()
+	overflowed := false
+	for i := 0; i < 4*32; i++ {
+		r.step()
+		overflowed = overflowed || len(r.n.cal.over) > 0
+	}
+	if !overflowed {
+		t.Fatal("no arrival reached the calendar's overflow heap")
+	}
+	if avg := testing.AllocsPerRun(200, r.step); avg != 0 {
+		t.Fatalf("partitioned send + Flush allocates %.2f per window, want 0", avg)
+	}
+}

@@ -13,9 +13,11 @@ import (
 // Exchanger buffers cross-shard messages between conservative windows. The
 // NoC implements it: sends whose destination lives on another shard are
 // appended to a source-shard-owned outbox during a window, and Flush — always
-// called single-threaded, at the window barrier — moves every buffered
-// message with timestamp <= horizon into its destination engine in a
-// deterministic order. Flush returns how many messages stay buffered (their
+// called single-threaded, at the window barrier — files them into a per-cycle
+// arrival calendar and moves every buffered message with timestamp <= horizon
+// into its destination engine in a deterministic order. Horizons never
+// decrease, and the conservative window bound puts every new message after
+// the last horizon. Flush returns how many messages stay buffered (their
 // timestamps exceed the horizon) and the earliest such timestamp, so the
 // scheduler can anchor the next window on a message even when every engine
 // has drained.
