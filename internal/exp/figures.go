@@ -335,44 +335,53 @@ func fig10Workload() workload.Pattern {
 	return workload.Micro(64, 2*1024*1024, defFan, 8)
 }
 
-// Fig10 sweeps the two bit-widths on both fabrics.
+// Fig10 sweeps the two bit-widths on both fabrics. The runs are independent
+// simulations, so they execute on a worker pool: per fabric, the SEQ-8 and
+// SEQ-40 baselines, then CORD at every swept width.
 func Fig10() ([]Fig10Point, error) {
-	var pts []Fig10Point
-	progressStart("fig10", len(Interconnects())*
-		(2+len(Fig10CntBits)+len(Fig10EpochBits)))
+	type job struct {
+		ic    Interconnect
+		panel string // "" for a SEQ baseline
+		bits  int
+		b     proto.Builder
+	}
+	var jobs []job
 	for _, ic := range Interconnects() {
-		seq8, err := Run(fig10Workload(), seqBuilder(8), NetConfig(ic), proto.RC, 42)
-		if err != nil {
-			return nil, err
+		jobs = append(jobs, job{ic, "", 8, seqBuilder(8)}, job{ic, "", 40, seqBuilder(40)})
+		for _, b := range Fig10CntBits {
+			jobs = append(jobs, job{ic, "cnt", b, cordBits(8, b)})
 		}
-		progressStep(1)
-		seq40, err := Run(fig10Workload(), seqBuilder(40), NetConfig(ic), proto.RC, 42)
-		if err != nil {
-			return nil, err
+		for _, b := range Fig10EpochBits {
+			jobs = append(jobs, job{ic, "epoch", b, cordBits(b, 32)})
 		}
-		progressStep(1)
-		sweep := func(panel string, bits []int, mk func(int) proto.Builder) error {
-			for _, b := range bits {
-				r, err := Run(fig10Workload(), mk(b), NetConfig(ic), proto.RC, 42)
-				if err != nil {
-					return err
-				}
-				pts = append(pts, Fig10Point{
-					Panel: panel, Bits: b, Fabric: ic,
-					CordTime: r.ExecNanos(), Seq8Time: seq8.ExecNanos(), Seq40Time: seq40.ExecNanos(),
-					CordBytes:  float64(r.Traffic.TotalInter()),
-					Seq8Bytes:  float64(seq8.Traffic.TotalInter()),
-					Seq40Bytes: float64(seq40.Traffic.TotalInter()),
-				})
-				progressStep(1)
-			}
-			return nil
-		}
-		if err := sweep("cnt", Fig10CntBits, func(b int) proto.Builder { return cordBits(8, b) }); err != nil {
-			return nil, err
-		}
-		if err := sweep("epoch", Fig10EpochBits, func(b int) proto.Builder { return cordBits(b, 32) }); err != nil {
-			return nil, err
+	}
+	runs := make([]*stats.Run, len(jobs))
+	progressStart("fig10", len(jobs))
+	err := forEach(len(jobs), func(i int) error {
+		var err error
+		runs[i], err = Run(fig10Workload(), jobs[i].b, NetConfig(jobs[i].ic), proto.RC, 42)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	var pts []Fig10Point
+	var seq8, seq40 *stats.Run
+	for i, j := range jobs {
+		r := runs[i]
+		switch {
+		case j.panel == "" && j.bits == 8:
+			seq8 = r
+		case j.panel == "":
+			seq40 = r
+		default:
+			pts = append(pts, Fig10Point{
+				Panel: j.panel, Bits: j.bits, Fabric: j.ic,
+				CordTime: r.ExecNanos(), Seq8Time: seq8.ExecNanos(), Seq40Time: seq40.ExecNanos(),
+				CordBytes:  float64(r.Traffic.TotalInter()),
+				Seq8Bytes:  float64(seq8.Traffic.TotalInter()),
+				Seq40Bytes: float64(seq40.Traffic.TotalInter()),
+			})
 		}
 	}
 	return pts, nil
