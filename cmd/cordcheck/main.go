@@ -49,6 +49,11 @@ func main() {
 		diff     = flag.Bool("diff-reports", false, "compare two checkreport files (prev cur) instead of checking")
 	)
 	flag.Parse()
+	if *workers < 0 || *memLimit < 0 || *verifyN < -1 {
+		fmt.Fprintf(os.Stderr, "cordcheck: -workers %d -mem-limit %d -verify-reduction %d: "+
+			"workers and mem-limit must be >= 0, verify-reduction >= -1 (-1 = all)\n", *workers, *memLimit, *verifyN)
+		os.Exit(2)
+	}
 
 	if *diff {
 		os.Exit(diffReports(flag.Args()))
