@@ -141,6 +141,10 @@ func cmdTop(args []string) error {
 	csv := fs.Bool("csv", false, "emit CSV")
 	k := fs.Int("k", 10, "number of releases to show")
 	fs.Parse(args)
+	if *k < 0 {
+		fmt.Fprintf(os.Stderr, "cordtrace: top -k %d: must be >= 0\n", *k)
+		os.Exit(2)
+	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("top wants exactly one trace, got %d", fs.NArg())
 	}

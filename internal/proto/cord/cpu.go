@@ -82,7 +82,8 @@ func newCPU(sys *proto.System, id noc.NodeID, ps *stats.ProcStats, cfg Config, c
 }
 
 func (c *cpu) handle(_ noc.NodeID, payload any) {
-	switch m := payload.(*core.Msg); m.Kind {
+	m := payload.(*core.Msg)
+	switch m.Kind {
 	case core.MLoadResp:
 		c.HandleLoadResp(m)
 	case core.MAck:
@@ -94,11 +95,12 @@ func (c *cpu) handle(_ noc.NodeID, payload any) {
 	default:
 		panic(fmt.Sprintf("cord: cpu %v got unexpected message kind %d", c.ID, m.Kind))
 	}
+	c.Sys.FreeMsg(m)
 }
 
 // send puts a message on the wire to its directory, m.Dir.
 func (c *cpu) send(m core.Msg, class stats.MsgClass, bytes int) {
-	c.Sys.Net.Send(c.ID, c.Sys.DirAt(m.Dir), class, bytes, &m)
+	c.Sys.Net.Send(c.ID, c.Sys.DirAt(m.Dir), class, bytes, c.Sys.NewMsg(m))
 }
 
 // exec runs op from the top; it is also where every Retry resumes.

@@ -41,6 +41,7 @@ func newDir(sys *proto.System, id noc.NodeID, cfg Config) *dir {
 		occNetBuf:  stats.NewOccupancy("dir/network-buffer", dirNetBufEntryBytes),
 	}
 	d.InitBase(sys, id)
+	d.Commit = d.commit
 	for _, o := range []*stats.Occupancy{d.occCnt, d.occNoti, d.occLargest, d.occNetBuf} {
 		o.Instance = id.String()
 	}
@@ -51,24 +52,46 @@ func newDir(sys *proto.System, id noc.NodeID, cfg Config) *dir {
 func (d *dir) handle(src noc.NodeID, payload any) {
 	switch m := payload.(*core.Msg); m.Kind {
 	case core.MLoadReq:
-		d.HandleLoadReq(src, m)
+		d.HandleLoadReq(m)
 	case core.MRelaxed:
 		d.onRelaxed(src, m)
 	case core.MRelease:
 		d.onRelease(src, m)
 	case core.MReqNotify:
 		d.onReqNotify(src, m)
+		d.Sys.FreeMsg(m)
 	case core.MNotify:
 		d.onNotify(m)
+		d.Sys.FreeMsg(m)
 	case core.MWBData:
 		// Source-ordered write-back store (§4.4): commit, then acknowledge.
-		d.Eng.Schedule(d.Sys.Timing.CommitLatency(), func() {
-			d.CommitValue(memsys.Addr(m.Addr), m.Val)
-			d.Sys.Net.Send(d.ID, src, stats.ClassAck, proto.AckBytes,
-				&core.Msg{Kind: core.MWBAck, Src: m.Src, Dir: d.Ix, Tag: m.Tag})
-		})
+		d.Later(d.Sys.Timing.CommitLatency(), m)
 	default:
 		panic(fmt.Sprintf("cord: dir %v got unexpected message kind %d from %v", d.ID, m.Kind, src))
+	}
+}
+
+// commit is the LLC commit of a message the directory holds. A commit that
+// answers the core rewrites the message into the answer; any other frees it.
+func (d *dir) commit(m *core.Msg) {
+	switch m.Kind {
+	case core.MRelaxed:
+		if !m.Atomic {
+			d.CommitValue(memsys.Addr(m.Addr), m.Val)
+			d.Sys.FreeMsg(m)
+			return
+		}
+		old := d.FetchAdd(memsys.Addr(m.Addr), m.Val)
+		*m = core.Msg{Kind: core.MAtomicResp, Src: m.Src, Dir: d.Ix, Val: old, Tag: m.Tag}
+		d.Sys.Net.Send(d.ID, d.Sys.CoreAt(m.Src), stats.ClassAtomicResp, proto.AckBytes+8, m)
+	case core.MRelease:
+		d.commitRelease(m)
+	case core.MWBData:
+		d.CommitValue(memsys.Addr(m.Addr), m.Val)
+		*m = core.Msg{Kind: core.MWBAck, Src: m.Src, Dir: d.Ix, Tag: m.Tag}
+		d.Sys.Net.Send(d.ID, d.Sys.CoreAt(m.Src), stats.ClassAck, proto.AckBytes, m)
+	default:
+		panic(fmt.Sprintf("cord: dir %v commits message kind %d", d.ID, m.Kind))
 	}
 }
 
@@ -86,15 +109,7 @@ func (d *dir) onRelaxed(src noc.NodeID, m *core.Msg) {
 		rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KOrdered,
 			Src: d.ID.Obs(), Dst: src.Obs(), Seq: m.Ep, Addr: m.Addr})
 	}
-	d.Eng.Schedule(d.Sys.Timing.CommitLatency(), func() {
-		if m.Atomic {
-			old := d.FetchAdd(memsys.Addr(m.Addr), m.Val)
-			d.Sys.Net.Send(d.ID, src, stats.ClassAtomicResp, proto.AckBytes+8,
-				&core.Msg{Kind: core.MAtomicResp, Src: m.Src, Dir: d.Ix, Val: old, Tag: m.Tag})
-			return
-		}
-		d.CommitValue(memsys.Addr(m.Addr), m.Val)
-	})
+	d.Later(d.Sys.Timing.CommitLatency(), m)
 	d.reeval()
 }
 
@@ -104,9 +119,10 @@ func (d *dir) onRelease(src noc.NodeID, m *core.Msg) {
 		d.st.BufferRelease(*m)
 		d.occNetBuf.Inc()
 		d.noteRetry(stats.ClassReleaseData, src, m.Ep)
+		d.Sys.FreeMsg(m)
 		return
 	}
-	d.commitRelease(*m)
+	d.Later(d.Sys.Timing.CommitLatency(), m)
 }
 
 // noteRetry records a recycle-buffer admission: the depth for the metrics
@@ -120,40 +136,38 @@ func (d *dir) noteRetry(class stats.MsgClass, src noc.NodeID, ep uint64) {
 	}
 }
 
-// commitRelease schedules an eligible Release's LLC commit one commit
-// latency out; the core rule applies the table effects at that point, and
-// the acknowledgment leaves for the issuing core.
-func (d *dir) commitRelease(cm core.Msg) {
-	d.Eng.Schedule(d.Sys.Timing.CommitLatency(), func() {
-		switch {
-		case cm.Atomic:
-			d.FetchAdd(memsys.Addr(cm.Addr), cm.Val)
-		case !cm.Barrier:
-			d.CommitValue(memsys.Addr(cm.Addr), cm.Val)
-		}
-		freedCnt, freedNoti, newLargest := d.st.CommitRelease(cm)
-		if newLargest {
-			d.occLargest.Inc()
-		}
-		if freedCnt {
-			d.occCnt.Dec()
-		}
-		if freedNoti {
-			d.occNoti.Dec()
-		}
-		src := d.Sys.CoreAt(cm.Src)
-		class, size := stats.ClassAck, proto.AckBytes
-		if cm.Atomic {
-			class, size = stats.ClassAtomicResp, proto.AckBytes+8
-		}
-		if rec := d.Obs; rec.Take() {
-			rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KRelCommit,
-				Src: d.ID.Obs(), Dst: src.Obs(), Seq: cm.Ep, Addr: cm.Addr})
-		}
-		d.Sys.Net.Send(d.ID, src, class, size,
-			&core.Msg{Kind: core.MAck, Src: cm.Src, Dir: d.Ix, Ep: cm.Ep})
-		d.reeval()
-	})
+// commitRelease applies an eligible Release's memory effect and the core
+// rule's table effects, then rewrites the Release into the acknowledgment
+// that leaves for the issuing core.
+func (d *dir) commitRelease(m *core.Msg) {
+	switch {
+	case m.Atomic:
+		d.FetchAdd(memsys.Addr(m.Addr), m.Val)
+	case !m.Barrier:
+		d.CommitValue(memsys.Addr(m.Addr), m.Val)
+	}
+	freedCnt, freedNoti, newLargest := d.st.CommitRelease(*m)
+	if newLargest {
+		d.occLargest.Inc()
+	}
+	if freedCnt {
+		d.occCnt.Dec()
+	}
+	if freedNoti {
+		d.occNoti.Dec()
+	}
+	src := d.Sys.CoreAt(m.Src)
+	class, size := stats.ClassAck, proto.AckBytes
+	if m.Atomic {
+		class, size = stats.ClassAtomicResp, proto.AckBytes+8
+	}
+	if rec := d.Obs; rec.Take() {
+		rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KRelCommit,
+			Src: d.ID.Obs(), Dst: src.Obs(), Seq: m.Ep, Addr: m.Addr})
+	}
+	*m = core.Msg{Kind: core.MAck, Src: m.Src, Dir: d.Ix, Ep: m.Ep}
+	d.Sys.Net.Send(d.ID, src, class, size, m)
+	d.reeval()
 }
 
 // onReqNotify forwards a notification to the destination directory once the
@@ -193,7 +207,7 @@ func (d *dir) wireNotify(out core.Msg) {
 		rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KNotify,
 			Src: d.ID.Obs(), Dst: dst.Obs(), Seq: out.Ep})
 	}
-	d.Sys.Net.Send(d.ID, dst, stats.ClassNotify, proto.NotifyBytes, &out)
+	d.Sys.Net.Send(d.ID, dst, stats.ClassNotify, proto.NotifyBytes, d.Sys.NewMsg(out))
 }
 
 // onNotify counts a notification toward the corresponding Release
@@ -213,7 +227,7 @@ func (d *dir) onNotify(m *core.Msg) {
 func (d *dir) reeval() {
 	cntB, notiB, reqB := len(d.st.Cnt), len(d.st.Noti), len(d.st.PendingReq)
 	d.st.Reeval(d.Ix,
-		func(m core.Msg) { d.occNetBuf.Dec(); d.commitRelease(m) },
+		func(m core.Msg) { d.occNetBuf.Dec(); d.Later(d.Sys.Timing.CommitLatency(), d.Sys.NewMsg(m)) },
 		func(out core.Msg) { d.wireNotify(out) },
 		func() { d.Recycles++ })
 	for n := cntB - len(d.st.Cnt); n > 0; n-- {

@@ -273,12 +273,15 @@ func (p *CordProc) AckRelease(ep uint64) (done bool) {
 		return false
 	}
 	p.Unacked = append(p.Unacked[:i], p.Unacked[i+1:]...)
-	for d := range p.ByDir {
-		eps := p.ByDir[d]
-		for len(eps) > 0 && !p.EpochLive(eps[0]) {
-			eps = eps[1:]
+	for d, eps := range p.ByDir {
+		n := 0
+		for n < len(eps) && !p.EpochLive(eps[n]) {
+			n++
 		}
-		p.ByDir[d] = eps
+		if n > 0 {
+			// Shift the chain down in place so appends reuse its array.
+			p.ByDir[d] = append(eps[:0], eps[n:]...)
+		}
 	}
 	return true
 }

@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"fmt"
+
 	"cord/internal/memsys"
 	"cord/internal/noc"
 	"cord/internal/obs"
@@ -23,13 +25,13 @@ type DirBase struct {
 	Eng *sim.Engine
 	Obs *obs.Recorder
 
-	waiters map[memsys.Addr][]pollWaiter
-}
+	// Commit is the protocol's delayed work on a message the slice holds
+	// (see Later); the protocol sets it.
+	Commit func(m *core.Msg)
 
-// pollWaiter is a parked MLoadReq and the core it came from.
-type pollWaiter struct {
-	src noc.NodeID
-	req *core.Msg
+	// waiters are the parked MLoadReq messages, by flag address.
+	waiters map[memsys.Addr][]*core.Msg
+	later   sim.DeliverFunc // runLater, bound once so Later allocates nothing
 }
 
 // InitBase prepares the embedded fields and registers the slice's store for
@@ -41,7 +43,8 @@ func (d *DirBase) InitBase(sys *System, id noc.NodeID) {
 	d.Eng = sys.EngOf(id.Host)
 	d.Obs = sys.ObsOf(id.Host)
 	d.Store = memsys.NewStore()
-	d.waiters = make(map[memsys.Addr][]pollWaiter)
+	d.waiters = make(map[memsys.Addr][]*core.Msg)
+	d.later = d.runLater
 	if sys.stores != nil {
 		sys.stores[id] = d.Store
 	}
@@ -62,46 +65,52 @@ func (d *DirBase) CommitValue(addr memsys.Addr, v uint64) {
 	d.wake(addr)
 }
 
+// wake serves the polls parked on addr again, in place: the satisfied ones
+// are answered, the rest park anew.
 func (d *DirBase) wake(addr memsys.Addr) {
 	ws := d.waiters[addr]
 	if len(ws) == 0 {
 		return
 	}
-	val := d.Store.Read(addr)
-	rest := ws[:0]
+	d.waiters[addr] = ws[:0]
 	for _, w := range ws {
-		if val >= w.req.Val {
-			d.respond(w.src, w.req, val)
-		} else {
-			rest = append(rest, w)
-		}
-	}
-	if len(rest) == 0 {
-		delete(d.waiters, addr)
-	} else {
-		d.waiters[addr] = rest
+		d.serveLoad(w)
 	}
 }
 
-func (d *DirBase) respond(src noc.NodeID, req *core.Msg, val uint64) {
-	d.Sys.Net.Send(d.ID, src, stats.ClassLoadResp, LoadRespBytes,
-		&core.Msg{Kind: core.MLoadResp, Src: req.Src, Dir: d.Ix, Addr: req.Addr,
-			Val: val, Tag: req.Tag})
+// Later runs the slice's delayed work on m after delay cycles: an acquire
+// poll's LLC access, or Commit. m belongs to that work (DESIGN.md §9.2).
+func (d *DirBase) Later(delay sim.Time, m *core.Msg) {
+	d.Eng.ScheduleDeliver(delay, d.later, 0, m)
 }
 
-// HandleLoadReq services an acquire poll from core src: respond after the
-// LLC access latency if the flag already satisfies the wait, otherwise park
-// the waiter until a commit satisfies it. Protocol directory handlers route
-// MLoadReq messages here.
-func (d *DirBase) HandleLoadReq(src noc.NodeID, m *core.Msg) {
+func (d *DirBase) runLater(_ uint64, payload any) {
+	switch m := payload.(*core.Msg); m.Kind {
+	case core.MLoadReq:
+		d.serveLoad(m)
+	case freedKind:
+		panic(fmt.Sprintf("proto: dir %v holds a freed message", d.ID))
+	default:
+		d.Commit(m)
+	}
+}
+
+// HandleLoadReq services an acquire poll after the LLC access latency
+// (serveLoad). Protocol directory handlers route MLoadReq messages here.
+func (d *DirBase) HandleLoadReq(m *core.Msg) { d.Later(d.Sys.Timing.LLCCycles, m) }
+
+// serveLoad answers the poll m, rewritten into its response, if the flag
+// satisfies it, and parks it otherwise.
+func (d *DirBase) serveLoad(m *core.Msg) {
 	addr := memsys.Addr(m.Addr)
-	d.Eng.Schedule(d.Sys.Timing.LLCCycles, func() {
-		if val := d.Store.Read(addr); val >= m.Val {
-			d.respond(src, m, val)
-			return
-		}
-		d.waiters[addr] = append(d.waiters[addr], pollWaiter{src: src, req: m})
-	})
+	val := d.Store.Read(addr)
+	if val < m.Val {
+		d.waiters[addr] = append(d.waiters[addr], m)
+		return
+	}
+	src := d.Sys.CoreAt(m.Src)
+	*m = core.Msg{Kind: core.MLoadResp, Src: m.Src, Dir: d.Ix, Addr: m.Addr, Val: val, Tag: m.Tag}
+	d.Sys.Net.Send(d.ID, src, stats.ClassLoadResp, LoadRespBytes, m)
 }
 
 // FetchAdd atomically adds to the 8-byte word at addr and returns the prior

@@ -16,13 +16,14 @@ import (
 	"cord/internal/workload"
 )
 
-// These guards extend the PR 3 kernel regression suite to the protocol
-// adapters: after the single-source refactor every protocol decision is a
-// call into internal/proto/core, and the indirection must not add per-event
-// allocations on the sim hot path. The committed BENCH_kernel.json is the
-// baseline; the assertions allow headroom for amortization noise but catch
-// the failure mode that matters (a core-rule call that boxes, clones, or
-// builds garbage per message).
+// These guards extend the kernel regression suite to the protocol adapters:
+// every protocol decision is a call into internal/proto/core, wire messages
+// come from a pool, and delayed directory work rides the engine's typed
+// delivery path, so nothing on the sim hot path may allocate per event. The
+// committed BENCH_kernel.json is the baseline; the assertions allow headroom
+// for amortization noise but catch the failure mode that matters (a send,
+// closure or core-rule call that boxes, clones, or builds garbage per
+// message).
 
 type kernelBaseline struct {
 	Protocols []struct {
@@ -93,13 +94,13 @@ func TestAdapterAllocsWithinBaseline(t *testing.T) {
 	for _, b := range adapterBuilders() {
 		t.Run(b.Name(), func(t *testing.T) {
 			base := baselineAllocs(t, b.Name())
-			// Shorter run than the baseline's 20000 rounds, so fixed startup
-			// allocations amortize over fewer events: allow 1.5x plus a small
-			// absolute slack.
+			// Shorter run than the baseline's 20000 rounds, so the fixed
+			// startup allocations (about 0.02/event at 4000 rounds) amortize
+			// over fewer events: allow 1.1x plus that much slack again.
 			events, allocs, ns := runMicro(t, b, 4000)
 			t.Logf("%s: %d events, %.3f allocs/event (baseline %.3f), %.0f ns/event",
 				b.Name(), events, allocs, base, ns)
-			if limit := base*1.5 + 0.25; allocs > limit {
+			if limit := base*1.1 + 0.04; allocs > limit {
 				t.Errorf("%s allocates %.3f/event, baseline %.3f (limit %.3f): core-rule indirection is allocating on the hot path",
 					b.Name(), allocs, base, limit)
 			}
@@ -108,19 +109,21 @@ func TestAdapterAllocsWithinBaseline(t *testing.T) {
 }
 
 // TestAdapterSteadyStateAllocBound pins the steady-state allocation shape
-// directly, independent of the JSON baseline: repeated runs of the same
-// workload must stay within a constant allocs/event envelope (protocol
-// messages are heap-boxed, so the bound is small but nonzero — unlike the
-// sim/noc kernels, which are held to exactly zero).
+// directly, independent of the JSON baseline. CORD, SO and MP allocate only
+// at startup, about 0.02/event at 4000 rounds. WB also allocates its per-line
+// dirty maps and write-backs, about 0.6/event.
 func TestAdapterSteadyStateAllocBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full micro workload; skipped in -short")
 	}
 	for _, b := range adapterBuilders() {
 		t.Run(b.Name(), func(t *testing.T) {
-			_, allocs, _ := runMicro(t, b, 4000)
-			if allocs > 4 {
-				t.Errorf("%s: %.2f allocs/event exceeds the 4/event envelope", b.Name(), allocs)
+			limit := 0.05
+			if b.Name() == "WB" {
+				limit = 0.7
+			}
+			if _, allocs, _ := runMicro(t, b, 4000); allocs > limit {
+				t.Errorf("%s: %.3f allocs/event exceeds the %.2f/event envelope", b.Name(), allocs, limit)
 			}
 		})
 	}

@@ -27,7 +27,6 @@ import (
 	"cord/internal/obs"
 	"cord/internal/proto"
 	"cord/internal/proto/core"
-	"cord/internal/sim"
 	"cord/internal/stats"
 )
 
@@ -42,42 +41,26 @@ func (p *Protocol) Name() string { return "MP" }
 
 // orderer adapts a host's ingress ordering point (core.MPOrderer) to the
 // simulator: the core rule decides commit and flush eligibility; this type
-// schedules the commits, answers flushing reads on the wire, and records
+// hands the commits and flush responses to the host's slices and records
 // observability events. One orderer is shared by all slices of a host.
 type orderer struct {
-	sys  *proto.System
-	host int
-	// eng and obs are the host shard's engine and recorder (see
-	// proto.ProcBase); the orderer is host-resident state.
-	eng  *sim.Engine
-	obs  *obs.Recorder
 	st   core.MPOrderer
 	dirs map[int]*dir // by dense index
-}
-
-func newOrderer(sys *proto.System, host int) *orderer {
-	return &orderer{
-		sys:  sys,
-		host: host,
-		eng:  sys.EngOf(host),
-		obs:  sys.ObsOf(host),
-		st:   core.NewMPOrderer(sys.Nodes()),
-		dirs: make(map[int]*dir),
-	}
+	port *dir         // the host's port slice (tile 0), which answers flushes
 }
 
 // submit hands a posted write from core src, arrived at slice at, to the
 // ordering point.
 func (o *orderer) submit(src noc.NodeID, m *core.Msg, at *dir) {
 	inOrder := o.st.Submit(*m,
-		func(w core.Msg) { o.dirs[w.Dir].commit(w) },
+		func(w core.Msg) { d := o.dirs[w.Dir]; d.Later(d.Sys.Timing.CommitLatency(), d.Sys.NewMsg(w)) },
 		o.respondFlush)
 	if !inOrder {
 		// Out-of-order arrival: held at the ordering point until the gap fills.
-		rec := o.obs
+		rec := at.Obs
 		rec.DirDepth(o.st.PendingFor(m.Src))
 		if rec.Take() {
-			rec.Record(obs.Event{At: o.eng.Now(), Kind: obs.KRetry,
+			rec.Record(obs.Event{At: at.Eng.Now(), Kind: obs.KRetry,
 				Src: at.ID.Obs(), Dst: src.Obs(), Class: stats.ClassRelaxedData,
 				Seq: m.Seq})
 		}
@@ -87,23 +70,7 @@ func (o *orderer) submit(src noc.NodeID, m *core.Msg, at *dir) {
 // respondFlush completes a flushing read after the commit pipeline drains
 // (one LLC commit latency), from the host's port slice.
 func (o *orderer) respondFlush(f core.Msg) {
-	o.eng.Schedule(o.sys.Timing.CommitLatency(), func() {
-		port, dst := noc.DirID(o.host, 0), o.sys.CoreAt(f.Src)
-		if rec := o.obs; rec.Take() {
-			rec.Record(obs.Event{At: o.eng.Now(), Kind: obs.KNotify,
-				Src: port.Obs(), Dst: dst.Obs(), Seq: f.Tag})
-		}
-		o.sys.Net.Send(port, dst, stats.ClassAck, proto.AckBytes,
-			&core.Msg{Kind: core.MMPFlushOK, Src: f.Src, Dir: f.Dir, Tag: f.Tag})
-	})
-}
-
-// flush answers a flushing read now, or parks it in the core rule until
-// Submit's drain covers it.
-func (o *orderer) flush(f *core.Msg) {
-	if o.st.Flush(*f) {
-		o.respondFlush(*f)
-	}
+	o.port.Later(o.port.Sys.Timing.CommitLatency(), o.port.Sys.NewMsg(f))
 }
 
 // dir is a directory slice under MP: pure commit target behind the orderer.
@@ -115,26 +82,46 @@ type dir struct {
 func (d *dir) handle(src noc.NodeID, payload any) {
 	switch m := payload.(*core.Msg); m.Kind {
 	case core.MLoadReq:
-		d.HandleLoadReq(src, m)
+		d.HandleLoadReq(m)
 	case core.MMPStore:
 		d.ord.submit(src, m, d)
+		d.Sys.FreeMsg(m)
 	case core.MMPFlush:
-		d.ord.flush(m)
+		// Answer now, or park in the core rule until Submit's drain covers it.
+		if d.ord.st.Flush(*m) {
+			d.ord.respondFlush(*m)
+		}
+		d.Sys.FreeMsg(m)
 	default:
 		panic(fmt.Sprintf("mp: dir %v got unexpected message kind %d", d.ID, m.Kind))
 	}
 }
 
-func (d *dir) commit(m core.Msg) {
-	d.Eng.Schedule(d.Sys.Timing.CommitLatency(), func() {
-		if m.Atomic {
-			old := d.FetchAdd(memsys.Addr(m.Addr), m.Val)
-			d.Sys.Net.Send(d.ID, d.Sys.CoreAt(m.Src), stats.ClassAtomicResp, proto.AckBytes+8,
-				&core.Msg{Kind: core.MAtomicResp, Src: m.Src, Dir: d.Ix, Val: old, Tag: m.Tag})
+// commit is the delayed work on a message the slice holds: a write's LLC
+// commit (an atomic becomes its value response) or, at the port slice, a
+// flushing read's response.
+func (d *dir) commit(m *core.Msg) {
+	switch m.Kind {
+	case core.MMPStore:
+		if !m.Atomic {
+			d.CommitValue(memsys.Addr(m.Addr), m.Val)
+			d.Sys.FreeMsg(m)
 			return
 		}
-		d.CommitValue(memsys.Addr(m.Addr), m.Val)
-	})
+		old := d.FetchAdd(memsys.Addr(m.Addr), m.Val)
+		*m = core.Msg{Kind: core.MAtomicResp, Src: m.Src, Dir: d.Ix, Val: old, Tag: m.Tag}
+		d.Sys.Net.Send(d.ID, d.Sys.CoreAt(m.Src), stats.ClassAtomicResp, proto.AckBytes+8, m)
+	case core.MMPFlush:
+		dst := d.Sys.CoreAt(m.Src)
+		if rec := d.Obs; rec.Take() {
+			rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KNotify,
+				Src: d.ID.Obs(), Dst: dst.Obs(), Seq: m.Tag})
+		}
+		*m = core.Msg{Kind: core.MMPFlushOK, Src: m.Src, Dir: m.Dir, Tag: m.Tag}
+		d.Sys.Net.Send(d.ID, dst, stats.ClassAck, proto.AckBytes, m)
+	default:
+		panic(fmt.Sprintf("mp: dir %v commits message kind %d", d.ID, m.Kind))
+	}
 }
 
 // cpu is the MP processor: posts writes, never waits.
@@ -162,7 +149,8 @@ type cpu struct {
 }
 
 func (c *cpu) handle(_ noc.NodeID, payload any) {
-	switch m := payload.(*core.Msg); m.Kind {
+	m := payload.(*core.Msg)
+	switch m.Kind {
 	case core.MLoadResp:
 		c.HandleLoadResp(m)
 	case core.MMPFlushOK:
@@ -184,6 +172,7 @@ func (c *cpu) handle(_ noc.NodeID, payload any) {
 	default:
 		panic(fmt.Sprintf("mp: cpu %v got unexpected message kind %d", c.ID, m.Kind))
 	}
+	c.Sys.FreeMsg(m)
 }
 
 func (c *cpu) exec(op proto.Op) {
@@ -228,10 +217,10 @@ func (c *cpu) exec(op proto.Op) {
 // host's FIFO ordering domain.
 func (c *cpu) post(op proto.Op, class stats.MsgClass, atomic bool, tag uint64) {
 	home := c.Sys.Map.HomeOf(op.Addr)
-	c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+op.Size, &core.Msg{
+	c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+op.Size, c.Sys.NewMsg(core.Msg{
 		Kind: core.MMPStore, Src: c.Ix, Dir: c.Sys.Index(home), Seq: c.st.NextSeq(home.Host),
 		Addr: uint64(op.Addr), Val: op.Value, Size: op.Size, Atomic: atomic, Tag: tag,
-	})
+	}))
 }
 
 // flushAll issues a flushing read to every host this core posted writes to
@@ -246,7 +235,7 @@ func (c *cpu) flushAll() {
 		c.flushes++
 		c.nextTag++
 		f.Tag = c.nextTag
-		c.Sys.Net.Send(c.ID, noc.DirID(f.Dir, 0), stats.ClassBarrier, proto.LoadReqBytes, &f)
+		c.Sys.Net.Send(c.ID, noc.DirID(f.Dir, 0), stats.ClassBarrier, proto.LoadReqBytes, c.Sys.NewMsg(f))
 	}
 	c.flushes--
 	c.Recheck()
@@ -257,12 +246,17 @@ func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 	cfg := sys.Net.Config()
 	orderers := make([]*orderer, cfg.Hosts)
 	for h := range orderers {
-		orderers[h] = newOrderer(sys, h)
+		orderers[h] = &orderer{st: core.NewMPOrderer(sys.Nodes()), dirs: make(map[int]*dir)}
 	}
 	for _, id := range sys.Dirs() {
-		d := &dir{ord: orderers[id.Host]}
+		o := orderers[id.Host]
+		d := &dir{ord: o}
 		d.InitBase(sys, id)
-		orderers[id.Host].dirs[sys.Index(id)] = d
+		d.Commit = d.commit
+		o.dirs[sys.Index(id)] = d
+		if id.Tile == 0 {
+			o.port = d
+		}
 		sys.Net.Register(id, d.handle)
 	}
 	cpus := make([]proto.CPU, len(cores))

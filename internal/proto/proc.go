@@ -239,8 +239,8 @@ func (p *ProcBase) beginAcquire(op Op) {
 	p.stall(p.polling, stats.StallAcquire, false, false)
 	home := p.Sys.Map.HomeOf(op.Addr)
 	p.Sys.Net.Send(p.ID, home, stats.ClassLoadReq, LoadReqBytes,
-		&core.Msg{Kind: core.MLoadReq, Src: p.Ix, Dir: p.Sys.Index(home),
-			Addr: uint64(op.Addr), Val: op.Value, Tag: p.acqTag})
+		p.Sys.NewMsg(core.Msg{Kind: core.MLoadReq, Src: p.Ix, Dir: p.Sys.Index(home),
+			Addr: uint64(op.Addr), Val: op.Value, Tag: p.acqTag}))
 }
 
 // HandleLoadResp ends the acquire waiting on the response. Protocol

@@ -32,7 +32,7 @@ func (nullProto) Build(sys *System, cores []noc.NodeID) []CPU {
 		sys.Net.Register(id, func(src noc.NodeID, payload any) {
 			switch m := payload.(*core.Msg); m.Kind {
 			case core.MLoadReq:
-				d.HandleLoadReq(src, m)
+				d.HandleLoadReq(m)
 			case core.MRelaxed:
 				d.Eng.Schedule(sys.Timing.CommitLatency(), func() { d.CommitValue(memsys.Addr(m.Addr), m.Val) })
 			default:
@@ -265,5 +265,28 @@ func TestFinishTimeRecorded(t *testing.T) {
 	}
 	if run.Procs[0].Finished != sim.Time(33) {
 		t.Fatalf("Finished = %d, want 33", run.Procs[0].Finished)
+	}
+}
+
+// TestFreeMsgPoisonsAndPanicsOnDoubleFree: in a serial and in a parallel
+// run, a freed message carries the poison kind, so a stale read hits a
+// handler's default panic, and freeing it again panics.
+func TestFreeMsgPoisonsAndPanicsOnDoubleFree(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		sys := NewSystem(1, smallConfig(), RC)
+		sys.Workers = workers
+		m := sys.NewMsg(core.Msg{Kind: core.MSOStore, Src: 3, Val: 7})
+		sys.FreeMsg(m)
+		if m.Kind != freedKind {
+			t.Fatalf("workers=%d: freed message has kind %d, want %d", workers, m.Kind, freedKind)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("workers=%d: second FreeMsg did not panic", workers)
+				}
+			}()
+			sys.FreeMsg(m)
+		}()
 	}
 }

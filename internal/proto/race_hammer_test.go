@@ -8,8 +8,6 @@ import (
 
 	"cord/internal/noc"
 	"cord/internal/proto"
-	"cord/internal/proto/cord"
-	"cord/internal/proto/mp"
 	"cord/internal/workload"
 )
 
@@ -22,12 +20,15 @@ import (
 // extending the fixed-seed determinism battery to arbitrary seeds — a
 // failure log includes the seed for reproduction.
 func TestPartitionedExecRaceHammer(t *testing.T) {
-	iters := 10
+	// Every protocol runs even in -short: at 8 workers, messages recycle
+	// through a shared pool, freed on the shard that receives them, often
+	// not the one that allocated them.
+	builders := adapterBuilders()
+	iters := 3 * len(builders)
 	if testing.Short() {
-		iters = 2
+		iters = len(builders)
 	}
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	builders := []proto.Builder{cord.New(), mp.New()}
 	for it := 0; it < iters; it++ {
 		seed := rng.Int63()
 		b := builders[it%len(builders)]

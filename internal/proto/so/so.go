@@ -47,6 +47,7 @@ func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 	for _, id := range sys.Dirs() {
 		d := &dir{}
 		d.InitBase(sys, id)
+		d.Commit = d.commitStore
 		sys.Net.Register(id, d.handle)
 	}
 	cpus := make([]proto.CPU, len(cores))
@@ -98,7 +99,8 @@ type cpu struct {
 }
 
 func (c *cpu) handle(_ noc.NodeID, payload any) {
-	switch m := payload.(*core.Msg); m.Kind {
+	m := payload.(*core.Msg)
+	switch m.Kind {
 	case core.MLoadResp:
 		c.HandleLoadResp(m)
 	case core.MSOAck:
@@ -106,6 +108,7 @@ func (c *cpu) handle(_ noc.NodeID, payload any) {
 	default:
 		panic(fmt.Sprintf("so: cpu %v got unexpected message kind %d", c.ID, m.Kind))
 	}
+	c.Sys.FreeMsg(m)
 }
 
 func (c *cpu) exec(op proto.Op) {
@@ -184,10 +187,10 @@ func (c *cpu) send(op proto.Op, release, atomic bool) {
 		c.relTag, c.relAt = c.nextTag, c.Now()
 	}
 	home := c.Sys.Map.HomeOf(op.Addr)
-	c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+op.Size, &core.Msg{
+	c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+op.Size, c.Sys.NewMsg(core.Msg{
 		Kind: core.MSOStore, Src: c.Ix, Dir: c.Sys.Index(home), Addr: uint64(op.Addr),
 		Val: op.Value, Size: op.Size, Release: release, Atomic: atomic, Tag: c.nextTag,
-	})
+	}))
 }
 
 func (c *cpu) onAck(m *core.Msg) {
@@ -263,32 +266,35 @@ type dir struct {
 	proto.DirBase
 }
 
-func (d *dir) handle(src noc.NodeID, payload any) {
+func (d *dir) handle(_ noc.NodeID, payload any) {
 	switch m := payload.(*core.Msg); m.Kind {
 	case core.MLoadReq:
-		d.HandleLoadReq(src, m)
+		d.HandleLoadReq(m)
 	case core.MSOStore:
-		d.Eng.Schedule(d.Sys.Timing.CommitLatency(), func() {
-			var old uint64
-			class := stats.ClassAck
-			size := proto.AckBytes
-			if m.Atomic {
-				old = d.FetchAdd(memsys.Addr(m.Addr), m.Val)
-				class = stats.ClassAtomicResp
-				size = proto.AckBytes + 8
-			} else {
-				d.CommitValue(memsys.Addr(m.Addr), m.Val)
-			}
-			if m.Release {
-				if rec := d.Obs; rec.Take() {
-					rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KRelCommit,
-						Src: d.ID.Obs(), Dst: src.Obs(), Seq: m.Tag, Addr: m.Addr})
-				}
-			}
-			ack := core.SOAck(*m, old)
-			d.Sys.Net.Send(d.ID, src, class, size, &ack)
-		})
+		d.Later(d.Sys.Timing.CommitLatency(), m)
 	default:
 		panic(fmt.Sprintf("so: dir %v got unexpected message kind %d", d.ID, m.Kind))
 	}
+}
+
+// commitStore commits a store one commit latency after it arrived and
+// rewrites it into its acknowledgment.
+func (d *dir) commitStore(m *core.Msg) {
+	var old uint64
+	class, size := stats.ClassAck, proto.AckBytes
+	if m.Atomic {
+		old = d.FetchAdd(memsys.Addr(m.Addr), m.Val)
+		class, size = stats.ClassAtomicResp, proto.AckBytes+8
+	} else {
+		d.CommitValue(memsys.Addr(m.Addr), m.Val)
+	}
+	src := d.Sys.CoreAt(m.Src)
+	if m.Release {
+		if rec := d.Obs; rec.Take() {
+			rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KRelCommit,
+				Src: d.ID.Obs(), Dst: src.Obs(), Seq: m.Tag, Addr: m.Addr})
+		}
+	}
+	*m = core.SOAck(*m, old)
+	d.Sys.Net.Send(d.ID, src, class, size, m)
 }

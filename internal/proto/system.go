@@ -2,11 +2,13 @@ package proto
 
 import (
 	"fmt"
+	"sync"
 
 	"cord/internal/memsys"
 	"cord/internal/noc"
 	"cord/internal/obs"
 	rt "cord/internal/obs/runtime"
+	"cord/internal/proto/core"
 	"cord/internal/sim"
 	"cord/internal/stats"
 )
@@ -88,6 +90,40 @@ type System struct {
 
 	// hosts and tiles shape the dense node index (Index).
 	hosts, tiles int
+
+	// free recycles wire messages in a serial run, where one goroutine runs
+	// every shard; a parallel run recycles them through msgPool.
+	free []*core.Msg
+}
+
+// msgPool recycles the messages a parallel run frees on any shard.
+var msgPool = sync.Pool{New: func() any { return new(core.Msg) }}
+
+const freedKind core.MsgKind = 0xff // no handler accepts a freed message
+
+// NewMsg returns a recycled message holding m (ownership: DESIGN.md §9.2).
+func (s *System) NewMsg(m core.Msg) *core.Msg {
+	var p *core.Msg
+	if n := len(s.free); n > 0 {
+		p, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		p = msgPool.Get().(*core.Msg)
+	}
+	*p = m
+	return p
+}
+
+// FreeMsg recycles m. Freeing a message twice panics.
+func (s *System) FreeMsg(m *core.Msg) {
+	if m.Kind == freedKind {
+		panic("proto: core.Msg freed twice")
+	}
+	m.Kind = freedKind
+	if s.Cluster == nil || s.Workers <= 1 {
+		s.free = append(s.free, m)
+	} else {
+		msgPool.Put(m)
+	}
 }
 
 // NewSystem wires an engine (or, for multi-host topologies, one engine per

@@ -34,6 +34,7 @@ import (
 	"cord/internal/obs"
 	"cord/internal/proto"
 	"cord/internal/proto/core"
+	"cord/internal/sim"
 	"cord/internal/stats"
 )
 
@@ -66,6 +67,7 @@ type lineData struct {
 	Line memsys.Addr
 	Vals map[uint64]uint64
 	Tag  uint64
+	Src  int // the writing core (dense index)
 }
 
 type cpu struct {
@@ -85,13 +87,16 @@ type cpu struct {
 	// drain into the L1 at full pipeline width, unlike write-through stores
 	// which each occupy a write-combining/egress slot.
 	hitToggle bool
+	// step is Step, bound once so a store hit allocates nothing.
+	step func()
 
 	// Stall conditions, bound once so that blocking allocates nothing.
 	atomicBusy, mshrFull, fetching, cannotFlush, undrained func() bool
 }
 
 func (c *cpu) handle(_ noc.NodeID, payload any) {
-	switch m := payload.(*core.Msg); m.Kind {
+	m := payload.(*core.Msg)
+	switch m.Kind {
 	case core.MLoadResp:
 		c.HandleLoadResp(m)
 	case core.MWBFill:
@@ -106,14 +111,15 @@ func (c *cpu) handle(_ noc.NodeID, payload any) {
 	default:
 		panic(fmt.Sprintf("wb: cpu %v got unexpected message kind %d", c.ID, m.Kind))
 	}
+	c.Sys.FreeMsg(m)
 }
 
 // sendFlag writes a flag store or far atomic through to its home directory.
 func (c *cpu) sendFlag(op proto.Op, class stats.MsgClass, atomic bool, tag uint64) {
 	home := c.Sys.Map.HomeOf(op.Addr)
 	c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+op.Size,
-		&core.Msg{Kind: core.MWBFlag, Src: c.Ix, Dir: c.Sys.Index(home),
-			Addr: uint64(op.Addr), Val: op.Value, Size: op.Size, Atomic: atomic, Tag: tag})
+		c.Sys.NewMsg(core.Msg{Kind: core.MWBFlag, Src: c.Ix, Dir: c.Sys.Index(home),
+			Addr: uint64(op.Addr), Val: op.Value, Size: op.Size, Atomic: atomic, Tag: tag}))
 }
 
 func (c *cpu) exec(op proto.Op) {
@@ -166,7 +172,7 @@ func (c *cpu) execStore(op proto.Op) {
 		c.st.RecordDirty(uint64(line), uint64(op.Addr), op.Value)
 		c.hitToggle = !c.hitToggle
 		if c.hitToggle {
-			c.Eng.Schedule(0, c.Step)
+			c.Eng.Schedule(0, c.step)
 		} else {
 			c.Retire()
 		}
@@ -177,7 +183,7 @@ func (c *cpu) execStore(op proto.Op) {
 		c.st.RecordDirty(uint64(line), uint64(op.Addr), op.Value)
 		home := c.Sys.Map.HomeOf(line)
 		c.Sys.Net.Send(c.ID, home, stats.ClassOwnReq, proto.HeaderBytes,
-			&core.Msg{Kind: core.MWBGetM, Src: c.Ix, Dir: c.Sys.Index(home), Addr: uint64(line)})
+			c.Sys.NewMsg(core.Msg{Kind: core.MWBGetM, Src: c.Ix, Dir: c.Sys.Index(home), Addr: uint64(line)}))
 		if c.Sys.Mode == proto.TSO {
 			// TSO source-orders every store: the next op retires only after
 			// ownership (and hence global order) is established.
@@ -203,7 +209,7 @@ func (c *cpu) flushed() bool {
 		home := c.Sys.Map.HomeOf(memsys.Addr(line))
 		c.Sys.Net.Send(c.ID, home, stats.ClassWriteback,
 			proto.HeaderBytes+memsys.LineBytes,
-			&lineData{Line: memsys.Addr(line), Vals: vals, Tag: c.nextTag})
+			&lineData{Line: memsys.Addr(line), Vals: vals, Tag: c.nextTag, Src: c.Ix})
 	})
 	if !c.st.Drained() {
 		c.Retry(c.undrained, stats.StallAckWait)
@@ -216,52 +222,70 @@ func (c *cpu) flushed() bool {
 // commits flags.
 type dir struct {
 	proto.DirBase
+	// writeBack is commitLine, bound once; addrs is its sort scratch.
+	writeBack sim.DeliverFunc
+	addrs     []uint64
 }
 
-func (d *dir) handle(src noc.NodeID, payload any) {
+func (d *dir) handle(_ noc.NodeID, payload any) {
 	if l, ok := payload.(*lineData); ok {
-		d.Eng.Schedule(d.Sys.Timing.CommitLatency(), func() {
-			addrs := make([]uint64, 0, len(l.Vals))
-			for a := range l.Vals {
-				addrs = append(addrs, a)
-			}
-			slices.Sort(addrs)
-			for _, a := range addrs {
-				d.CommitValue(memsys.Addr(a), l.Vals[a])
-			}
-			d.Sys.Net.Send(d.ID, src, stats.ClassAck, proto.AckBytes,
-				&core.Msg{Kind: core.MWBAck, Src: d.Sys.Index(src), Dir: d.Ix, Tag: l.Tag})
-		})
+		d.Eng.ScheduleDeliver(d.Sys.Timing.CommitLatency(), d.writeBack, 0, l)
 		return
 	}
 	switch m := payload.(*core.Msg); m.Kind {
 	case core.MLoadReq:
-		d.HandleLoadReq(src, m)
+		d.HandleLoadReq(m)
+	case core.MWBGetM:
+		d.Later(d.Sys.Timing.LLCCycles, m)
+	case core.MWBFlag:
+		d.Later(d.Sys.Timing.CommitLatency(), m)
+	default:
+		panic(fmt.Sprintf("wb: dir %v got unexpected message kind %d", d.ID, m.Kind))
+	}
+}
+
+// commitLine commits a written-back line's words in address order and
+// acknowledges the write-back.
+func (d *dir) commitLine(_ uint64, payload any) {
+	l := payload.(*lineData)
+	d.addrs = d.addrs[:0]
+	for a := range l.Vals {
+		d.addrs = append(d.addrs, a)
+	}
+	slices.Sort(d.addrs)
+	for _, a := range d.addrs {
+		d.CommitValue(memsys.Addr(a), l.Vals[a])
+	}
+	d.Sys.Net.Send(d.ID, d.Sys.CoreAt(l.Src), stats.ClassAck, proto.AckBytes,
+		d.Sys.NewMsg(core.Msg{Kind: core.MWBAck, Src: l.Src, Dir: d.Ix, Tag: l.Tag}))
+}
+
+// commit grants ownership or commits a flag, and rewrites the message into
+// its answer to the core.
+func (d *dir) commit(m *core.Msg) {
+	src := d.Sys.CoreAt(m.Src)
+	switch m.Kind {
 	case core.MWBGetM:
 		// Ownership grant without a data fill: producer buffers have no
 		// remote sharer between flushes, so the grant is a control message.
-		d.Eng.Schedule(d.Sys.Timing.LLCCycles, func() {
-			d.Sys.Net.Send(d.ID, src, stats.ClassOwnData, proto.HeaderBytes,
-				&core.Msg{Kind: core.MWBFill, Src: m.Src, Dir: d.Ix, Addr: m.Addr})
-		})
+		*m = core.Msg{Kind: core.MWBFill, Src: m.Src, Dir: d.Ix, Addr: m.Addr}
+		d.Sys.Net.Send(d.ID, src, stats.ClassOwnData, proto.HeaderBytes, m)
 	case core.MWBFlag:
-		d.Eng.Schedule(d.Sys.Timing.CommitLatency(), func() {
-			class, size := stats.ClassAck, proto.AckBytes
-			if m.Atomic {
-				d.FetchAdd(memsys.Addr(m.Addr), m.Val)
-				class, size = stats.ClassAtomicResp, proto.AckBytes+8
-			} else {
-				d.CommitValue(memsys.Addr(m.Addr), m.Val)
-				if rec := d.Obs; rec.Take() {
-					rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KRelCommit,
-						Src: d.ID.Obs(), Dst: src.Obs(), Seq: m.Tag, Addr: m.Addr})
-				}
+		class, size := stats.ClassAck, proto.AckBytes
+		if m.Atomic {
+			d.FetchAdd(memsys.Addr(m.Addr), m.Val)
+			class, size = stats.ClassAtomicResp, proto.AckBytes+8
+		} else {
+			d.CommitValue(memsys.Addr(m.Addr), m.Val)
+			if rec := d.Obs; rec.Take() {
+				rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KRelCommit,
+					Src: d.ID.Obs(), Dst: src.Obs(), Seq: m.Tag, Addr: m.Addr})
 			}
-			d.Sys.Net.Send(d.ID, src, class, size,
-				&core.Msg{Kind: core.MWBAck, Src: m.Src, Dir: d.Ix, Tag: m.Tag})
-		})
+		}
+		*m = core.Msg{Kind: core.MWBAck, Src: m.Src, Dir: d.Ix, Tag: m.Tag}
+		d.Sys.Net.Send(d.ID, src, class, size, m)
 	default:
-		panic(fmt.Sprintf("wb: dir %v got unexpected message kind %d", d.ID, m.Kind))
+		panic(fmt.Sprintf("wb: dir %v commits message kind %d", d.ID, m.Kind))
 	}
 }
 
@@ -270,6 +294,8 @@ func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 	for _, id := range sys.Dirs() {
 		d := &dir{}
 		d.InitBase(sys, id)
+		d.Commit = d.commit
+		d.writeBack = d.commitLine
 		sys.Net.Register(id, d.handle)
 	}
 	cpus := make([]proto.CPU, len(cores))
@@ -277,6 +303,7 @@ func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 		c := &cpu{cfg: p.Cfg, st: core.NewWBProc()}
 		c.InitBase(sys, id, &sys.Run.Procs[i])
 		c.Exec = c.exec
+		c.step = c.Step
 		c.atomicBusy = func() bool { return c.atomicTag != 0 }
 		c.mshrFull = func() bool { return c.st.MSHR >= c.cfg.MSHRs }
 		c.fetching = func() bool { return c.st.Fetching[c.fetchLine] }

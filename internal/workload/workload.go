@@ -221,6 +221,9 @@ func (p Pattern) Programs(nc noc.Config) ([]noc.NodeID, []proto.Program, error) 
 		cores[r] = noc.CoreID(host, slot)
 		rng := rand.New(rand.NewSource(p.Seed + 7919)) // same sizes for every rank
 		var prog proto.Program
+		if r > 0 { // every rank draws the same sizes: rank 0's length
+			prog = make(proto.Program, 0, len(progs[0]))
+		}
 		for round := 0; round < p.Rounds; round++ {
 			v := uint64(round + 1)
 			size := p.syncSize(rng)

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"cord/internal/memsys"
@@ -374,5 +377,49 @@ func TestRanksPerHostValidation(t *testing.T) {
 	c.MeshCols = 2
 	if _, _, err := p.Programs(c); err == nil {
 		t.Fatal("5 ranks on 4 tiles accepted")
+	}
+}
+
+// TestAppProgramsPinned pins a SHA-256 of every Table 2 application's
+// programs (cores, then each rank's ops field by field), so a change to how
+// Programs builds them provably leaves their contents alone.
+func TestAppProgramsPinned(t *testing.T) {
+	want := map[string]string{
+		"PR":     "a5ae13646c42a2fcca6ce5bf514b93d36d60a178934de782797988ea672d014d",
+		"SSSP":   "21fb83c318f8b1ac049ec54ddba982bdbfec9bfc05aca89f9c3aa74efbd30042",
+		"PAD":    "3a2184e2eb0446214ad944ed6c6362188883816ce0972c21429fa8a29b42fd2e",
+		"TQH":    "5e1b62116127a32e4105f023425fb086b3415fc80fc125ba86e705915bb241ad",
+		"HSTI":   "cb8f751620092970f5727143b04003b813acdb43acbdc5770b2481d30933cd01",
+		"TRNS":   "3456477f6d45c4e080f0a1a3a1bf083cc33b6d49801ab78144880046d368e203",
+		"MOCFE":  "17176be3bfe26f0a85ceb3e96f20d80759af8b72b56263f5d0591b517a5341ab",
+		"CMC-2D": "94f0b6751a4fdba463f17fbd0661a1964d59a012763516d3198b2c6928e7f1bf",
+		"BigFFT": "e3409f523c1b2b1f0bc909fb1a0cae047d6e8a354768b1ff7c1cd5a62e836be5",
+		"CR":     "023859a85a90176c2196e4acc63837015b81baf460bb72d653bbd9219683d8c8",
+	}
+	for _, p := range Apps() {
+		cores, progs, err := p.Programs(nc())
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		h := sha256.New()
+		var b []byte
+		for _, c := range cores {
+			b = binary.LittleEndian.AppendUint64(b, uint64(c.Host))
+			b = binary.LittleEndian.AppendUint64(b, uint64(c.Tile))
+		}
+		for _, prog := range progs {
+			h.Write(b)
+			b = binary.LittleEndian.AppendUint64(b[:0], uint64(len(prog)))
+			for _, op := range prog {
+				b = append(b, byte(op.Kind), byte(op.Ord))
+				for _, v := range []uint64{uint64(op.Addr), uint64(op.Size), uint64(op.Cycles), op.Value} {
+					b = binary.LittleEndian.AppendUint64(b, v)
+				}
+			}
+		}
+		h.Write(b)
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[p.Name] {
+			t.Errorf("%s: programs hash %s, want %s", p.Name, got, want[p.Name])
+		}
 	}
 }
