@@ -111,11 +111,10 @@ func artifactMix(hosts, tiles, rounds int) ([]noc.NodeID, []proto.Program) {
 }
 
 type artifactCase struct {
-	name    string
-	b       proto.Builder
-	mode    proto.Mode
-	hosts   int
-	workers int
+	name  string
+	b     proto.Builder
+	mode  proto.Mode
+	hosts int
 	// sample is the recorder's 1-in-n sampling rate (0 records every
 	// event). Sampled traces change whenever the order of Take calls does,
 	// which full traces cannot see.
@@ -156,10 +155,10 @@ func artifactCases() []artifactCase {
 	var cs []artifactCase
 	for _, b := range builders {
 		for _, mode := range []proto.Mode{proto.RC, proto.TSO} {
-			for _, topo := range [][2]int{{1, 1}, {2, 2}} {
+			for _, hosts := range []int{1, 2} {
 				cs = append(cs, artifactCase{
-					name: fmt.Sprintf("%s/%v/hosts=%d", b.name, mode, topo[0]),
-					b:    b.mk(), mode: mode, hosts: topo[0], workers: topo[1],
+					name: fmt.Sprintf("%s/%v/hosts=%d", b.name, mode, hosts),
+					b:    b.mk(), mode: mode, hosts: hosts,
 				})
 			}
 		}
@@ -168,7 +167,7 @@ func artifactCases() []artifactCase {
 		for _, mode := range []proto.Mode{proto.RC, proto.TSO} {
 			cs = append(cs, artifactCase{
 				name: fmt.Sprintf("%s/%v/hosts=1/sample=3", b.name, mode),
-				b:    b.mk(), mode: mode, hosts: 1, workers: 1, sample: 3,
+				b:    b.mk(), mode: mode, hosts: 1, sample: 3,
 			})
 		}
 	}
@@ -192,7 +191,6 @@ func runArtifactCase(t *testing.T, c artifactCase) [3]string {
 		rec.SetSample(c.sample)
 	}
 	sys := proto.NewSystem(s.Seed, nc, c.mode)
-	sys.Workers = c.workers
 	sys.Observe(rec)
 	run, err := proto.Exec(sys, c.b, cores, progs)
 	if err != nil {
@@ -234,9 +232,9 @@ func readArtifactGolden(t *testing.T) map[string]string {
 	return want
 }
 
-// TestArtifactGolden checks every protocol x consistency mode x {1 host
-// serial, 2 hosts on 2 workers}, plus the four base protocols' 1-host runs
-// sampled 1-in-3, against the committed digests.
+// TestArtifactGolden checks every protocol x consistency mode x {1 host,
+// 2 hosts}, plus the four base protocols' 1-host runs sampled 1-in-3, against
+// the committed digests.
 func TestArtifactGolden(t *testing.T) {
 	cases := artifactCases()
 	got := make([][3]string, len(cases))

@@ -5,140 +5,40 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"time"
 
 	"cord/internal/exp"
-	rt "cord/internal/obs/runtime"
 	"cord/internal/proto"
-	"cord/internal/sim"
 	"cord/internal/workload"
-	"cord/internal/workload/kvsvc"
 )
 
-// kernelResult is one row of BENCH_kernel.json: how fast the event kernel
-// retires simulation events under a given protocol scheme and fabric, and
-// how much it allocates doing so. Allocations are amortized over the whole
-// run (system construction included), so steady-state numbers are lower.
+// kernelResult is one row of BENCH_kernel.json: how much one protocol
+// allocates per retired simulation event. Allocations are amortized over the
+// whole run (system construction included), so steady-state numbers are
+// lower. internal/proto's allocation gate reads these rows; wall-clock speed
+// is perfbench's to measure.
 type kernelResult struct {
 	Scheme        string  `json:"scheme"`
 	Fabric        string  `json:"fabric"`
 	Workload      string  `json:"workload"`
 	Events        uint64  `json:"events"`
-	WallMs        float64 `json:"wall_ms"`
-	NsPerEvent    float64 `json:"ns_per_event"`
-	EventsPerSec  float64 `json:"events_per_sec"`
 	AllocsPerEvnt float64 `json:"allocs_per_event"`
 }
 
-// parallelResult is one row of the conservative-parallel engine sweep: the
-// same partitioned simulation at a given worker count. Speedup is relative
-// to the 1-worker row of the same topology; on a single-core machine it
-// measures scheduling overhead, not parallelism — which is why NumCPU is
-// recorded alongside. The efficiency columns come from the runtime telemetry
-// collector riding the run and attribute the gap to 8x: what fraction of the
-// window capacity did useful work, and whether the loss was barrier
-// imbalance, steal/start lag, or the single-threaded cross-host merge.
-type parallelResult struct {
-	Hosts        int     `json:"hosts"`
-	Workers      int     `json:"workers"`
-	Events       uint64  `json:"events"`
-	WallMs       float64 `json:"wall_ms"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	Speedup      float64 `json:"speedup_vs_1_worker"`
-
-	Windows     uint64  `json:"windows"`
-	Efficiency  float64 `json:"efficiency"`
-	LostBarrier float64 `json:"lost_barrier"`
-	LostSteal   float64 `json:"lost_steal"`
-	LostMerge   float64 `json:"lost_merge"`
-	Dominant    string  `json:"dominant_loss"`
-}
-
-// kvResult is one row of the KV-service sweep: how fast the kernel pushes
-// service requests through a reactive (pull-based) op source, wall-clock, and
-// what each request costs in allocations. SimP99Ns is the simulated tail for
-// cross-checking against the cordsim curve, not a kernel-speed figure.
-type kvResult struct {
-	Scheme       string  `json:"scheme"`
-	Hosts        int     `json:"hosts"`
-	Requests     uint64  `json:"requests"`
-	Events       uint64  `json:"events"`
-	WallMs       float64 `json:"wall_ms"`
-	ReqPerSec    float64 `json:"requests_per_sec"`
-	AllocsPerReq float64 `json:"allocs_per_request"`
-	SimP99Ns     float64 `json:"sim_p99_ns"`
-}
-
-// kernelReport is the machine-readable benchmark artifact committed as
-// BENCH_kernel.json so the kernel's performance trajectory is recorded in
-// the repo rather than in CI logs.
+// kernelReport is the machine-readable baseline committed as
+// BENCH_kernel.json. Allocation counts are deterministic for one Go version,
+// so the gate can hold them tight.
 type kernelReport struct {
-	GeneratedBy string           `json:"generated_by"`
-	GoVersion   string           `json:"go_version"`
-	GOARCH      string           `json:"goarch"`
-	NumCPU      int              `json:"num_cpu"`
-	Scheduler   kernelResult     `json:"scheduler"`
-	Protocols   []kernelResult   `json:"protocols"`
-	KV          []kvResult       `json:"kv"`
-	Parallel    []parallelResult `json:"parallel"`
+	GeneratedBy string         `json:"generated_by"`
+	GoVersion   string         `json:"go_version"`
+	GOARCH      string         `json:"goarch"`
+	Protocols   []kernelResult `json:"protocols"`
 }
 
-// benchScheduler measures the bare engine with no protocol on top: a
-// steady-state churn of 1024 in-flight events with pseudo-random delays,
-// the same shape as BenchmarkEngineChurn. The engine is warmed first so the
-// measurement sees the zero-allocation steady state.
-func benchScheduler(events int) kernelResult {
-	eng := sim.NewEngine(1)
-	lcg := uint64(0x9E3779B97F4A7C15)
-	next := func() sim.Time {
-		lcg = lcg*6364136223846793005 + 1442695040888963407
-		return 1 + sim.Time(lcg>>58)
-	}
-	fired := 0
-	var tick func()
-	tick = func() {
-		fired++
-		if fired < events {
-			eng.Schedule(next(), tick)
-		}
-	}
-	const inFlight = 1024
-	for i := 0; i < inFlight; i++ {
-		eng.Schedule(next(), tick)
-	}
-	// Warm slab, wheel, and free list before timing.
-	if err := eng.RunUntil(eng.Now() + 4096); err != nil {
-		panic(err)
-	}
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	before := eng.Executed()
-	start := time.Now()
-	if err := eng.Run(); err != nil {
-		panic(err)
-	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	n := eng.Executed() - before
-	return kernelResult{
-		Scheme:        "none",
-		Fabric:        "none",
-		Workload:      fmt.Sprintf("churn/%d-inflight", inFlight),
-		Events:        n,
-		WallMs:        float64(wall.Nanoseconds()) / 1e6,
-		NsPerEvent:    float64(wall.Nanoseconds()) / float64(n),
-		EventsPerSec:  float64(n) / wall.Seconds(),
-		AllocsPerEvnt: float64(m1.Mallocs-m0.Mallocs) / float64(n),
-	}
-}
-
-// benchProtocol runs one full protocol simulation and reports kernel
-// throughput: every scheduled event — core issue, NoC hop, directory
-// processing — retires through the same two-level queue.
-func benchProtocol(s exp.Scheme, ic exp.Interconnect) (kernelResult, error) {
+// benchProtocol runs one full protocol simulation on the Table 1 CXL system
+// and counts the heap allocations per executed event.
+func benchProtocol(s exp.Scheme) (kernelResult, error) {
 	p := workload.Micro(256, 64, 3, 20000)
-	nc := exp.NetConfig(ic)
+	nc := exp.NetConfig(exp.CXL)
 	cores, progs, err := p.Programs(nc)
 	if err != nil {
 		return kernelResult{}, err
@@ -147,99 +47,17 @@ func benchProtocol(s exp.Scheme, ic exp.Interconnect) (kernelResult, error) {
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	start := time.Now()
 	if _, err := proto.Exec(sys, exp.Builder(s), cores, progs); err != nil {
 		return kernelResult{}, err
 	}
-	wall := time.Since(start)
 	runtime.ReadMemStats(&m1)
 	n := sys.Executed()
 	return kernelResult{
 		Scheme:        string(s),
-		Fabric:        string(ic),
+		Fabric:        string(exp.CXL),
 		Workload:      p.Name,
 		Events:        n,
-		WallMs:        float64(wall.Nanoseconds()) / 1e6,
-		NsPerEvent:    float64(wall.Nanoseconds()) / float64(n),
-		EventsPerSec:  float64(n) / wall.Seconds(),
 		AllocsPerEvnt: float64(m1.Mallocs-m0.Mallocs) / float64(n),
-	}, nil
-}
-
-// benchKV runs the sharded KV service under one scheme on the Table 1 CXL
-// topology and reports wall-clock request throughput and per-request
-// allocation cost — the service-workload counterpart of benchProtocol. The
-// source steady state is allocation-free; the per-request figure amortizes
-// system and service construction.
-func benchKV(s exp.Scheme) (kvResult, error) {
-	cfg := kvsvc.Default()
-	cfg.Clients = 64
-	cfg.Requests = 64
-	nc := exp.NetConfig(exp.CXL)
-	svc, err := cfg.Build(nc)
-	if err != nil {
-		return kvResult{}, err
-	}
-	sys := proto.NewSystem(42, nc, proto.RC)
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	if _, err := proto.ExecSources(sys, exp.Builder(s), svc.Cores(), svc.Sources()); err != nil {
-		return kvResult{}, err
-	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	st := svc.Stats()
-	n := st.Total()
-	d := st.Overall()
-	return kvResult{
-		Scheme:       string(s),
-		Hosts:        nc.Hosts,
-		Requests:     n,
-		Events:       sys.Executed(),
-		WallMs:       float64(wall.Nanoseconds()) / 1e6,
-		ReqPerSec:    float64(n) / wall.Seconds(),
-		AllocsPerReq: float64(m1.Mallocs-m0.Mallocs) / float64(n),
-		SimP99Ns:     sim.Nanos(d.Quantile(0.99)),
-	}, nil
-}
-
-// benchParallel runs one CORD workload on a hosts-host CXL topology at the
-// given worker count and reports partitioned-engine throughput. The workload
-// scales with the host count (every host participates), so per-window
-// parallelism is real at every size.
-func benchParallel(hosts, workers int) (parallelResult, error) {
-	p := workload.ATA(hosts, 400)
-	nc := exp.NetConfig(exp.CXL)
-	nc.Hosts = hosts
-	cores, progs, err := p.Programs(nc)
-	if err != nil {
-		return parallelResult{}, err
-	}
-	sys := proto.NewSystem(42, nc, proto.RC)
-	sys.Workers = workers
-	col := rt.NewCollector(hosts)
-	sys.AttachRuntime(col)
-	start := time.Now()
-	if _, err := proto.Exec(sys, exp.Builder(exp.SchemeCORD), cores, progs); err != nil {
-		return parallelResult{}, err
-	}
-	wall := time.Since(start)
-	n := sys.Executed()
-	sc := rt.Analyze(col.Snapshot())
-	return parallelResult{
-		Hosts:        hosts,
-		Workers:      workers,
-		Events:       n,
-		WallMs:       float64(wall.Nanoseconds()) / 1e6,
-		EventsPerSec: float64(n) / wall.Seconds(),
-		Windows:      sc.Windows,
-		Efficiency:   sc.Efficiency,
-		LostBarrier:  sc.LostBarrier,
-		LostSteal:    sc.LostSteal,
-		LostMerge:    sc.LostMerge,
-		Dominant:     sc.Dominant,
 	}, nil
 }
 
@@ -249,47 +67,15 @@ func kernelBench(path string) error {
 		GeneratedBy: "cordbench -kernel",
 		GoVersion:   runtime.Version(),
 		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		Scheduler:   benchScheduler(2_000_000),
-	}
-	for _, ic := range exp.Interconnects() {
-		for _, s := range exp.Schemes() {
-			r, err := benchProtocol(s, ic)
-			if err != nil {
-				return err
-			}
-			rep.Protocols = append(rep.Protocols, r)
-			fmt.Fprintf(os.Stderr, "kernel: %-4s %-3s %8d events  %6.1f ns/event  %5.2f Mevents/s  %.3f allocs/event\n",
-				r.Scheme, r.Fabric, r.Events, r.NsPerEvent, r.EventsPerSec/1e6, r.AllocsPerEvnt)
-		}
 	}
 	for _, s := range exp.Schemes() {
-		r, err := benchKV(s)
+		r, err := benchProtocol(s)
 		if err != nil {
 			return err
 		}
-		rep.KV = append(rep.KV, r)
-		fmt.Fprintf(os.Stderr, "kv: %-4s %3d hosts %7d requests  %6.2f Mreq/s  %.3f allocs/request  sim p99 %.0f ns\n",
-			r.Scheme, r.Hosts, r.Requests, r.ReqPerSec/1e6, r.AllocsPerReq, r.SimP99Ns)
-	}
-	for _, hosts := range []int{8, 64} {
-		var base float64
-		for _, workers := range []int{1, 2, 4, 8} {
-			r, err := benchParallel(hosts, workers)
-			if err != nil {
-				return err
-			}
-			if workers == 1 {
-				base = r.WallMs
-			}
-			if base > 0 {
-				r.Speedup = base / r.WallMs
-			}
-			rep.Parallel = append(rep.Parallel, r)
-			fmt.Fprintf(os.Stderr, "parallel: %3d hosts %2d workers %8d events  %5.2f Mevents/s  %.2fx vs 1 worker  eff %4.1f%% (%s-bound)\n",
-				r.Hosts, r.Workers, r.Events, r.EventsPerSec/1e6, r.Speedup,
-				r.Efficiency*100, r.Dominant)
-		}
+		rep.Protocols = append(rep.Protocols, r)
+		fmt.Fprintf(os.Stderr, "kernel: %-4s %-3s %8d events  %.3f allocs/event\n",
+			r.Scheme, r.Fabric, r.Events, r.AllocsPerEvnt)
 	}
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

@@ -34,11 +34,9 @@ func main() {
 		csv      = flag.String("csv", "", "directory to also write CSV files into")
 		httpAddr = flag.String("http", "", "serve live sweep progress/metrics/pprof on this address, e.g. localhost:6060")
 		progress = flag.Bool("progress", false, "print sweep progress lines to stderr")
-		kernel   = flag.String("kernel", "", "measure event-kernel throughput and write BENCH_kernel.json to this path (- for stdout)")
-		workers  = flag.Int("sim-workers", 0, "host shards advanced concurrently by the partitioned engine (<=1 serial; results identical for any value)")
+		kernel   = flag.String("kernel", "", "measure per-protocol allocations per event and write BENCH_kernel.json to this path (- for stdout)")
 	)
 	flag.Parse()
-	exp.SetSimWorkers(*workers)
 
 	// Sweep progress and aggregate metrics are observable two ways: -progress
 	// prints the tracker to stderr each second, -http serves it (with the
@@ -90,6 +88,22 @@ func main() {
 		return
 	}
 
+	// emit writes one figure or table to stdout and, with -csv, to
+	// name.csv, exiting 1 on the first error, a failed CSV write included.
+	emit := func(name, title string, fn func(*writer) error) {
+		w := newWriter(*csv, name)
+		if title != "" {
+			fmt.Printf("==== %s ====\n", title)
+		}
+		err := fn(w)
+		if cerr := w.close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "cordbench:", err)
+			os.Exit(1)
+		}
+	}
 	figs := map[int]func(*writer) error{
 		2: fig2, 7: fig7, 8: fig8, 9: fig9, 10: fig10, 11: fig11, 12: fig12, 13: fig13,
 	}
@@ -99,52 +113,24 @@ func main() {
 			fmt.Fprintf(os.Stderr, "cordbench: no figure %d\n", n)
 			os.Exit(2)
 		}
-		w := newWriter(*csv, fmt.Sprintf("fig%d", n))
-		fmt.Printf("==== Figure %d ====\n", n)
-		if err := f(w); err != nil {
-			fmt.Fprintln(os.Stderr, "cordbench:", err)
-			os.Exit(1)
-		}
-		w.close()
+		emit(fmt.Sprintf("fig%d", n), fmt.Sprintf("Figure %d", n), f)
 	}
 	switch {
 	case *all:
 		for _, n := range []int{2, 7, 8, 9, 10, 11, 12, 13} {
 			run(n)
 		}
-		for _, emit := range []struct {
-			name string
-			fn   func(*writer) error
-		}{{"table2", table2}, {"table3", func(w *writer) error { table3(w); return nil }},
-			{"ablation", ablations}} {
-			w := newWriter(*csv, emit.name)
-			fmt.Printf("==== %s ====\n", emit.name)
-			if err := emit.fn(w); err != nil {
-				fmt.Fprintln(os.Stderr, "cordbench:", err)
-				os.Exit(1)
-			}
-			w.close()
-		}
+		emit("table2", "table2", table2)
+		emit("table3", "table3", table3)
+		emit("ablation", "ablation", ablations)
 	case *fig != 0:
 		run(*fig)
 	case *table == 2:
-		w := newWriter(*csv, "table2")
-		if err := table2(w); err != nil {
-			fmt.Fprintln(os.Stderr, "cordbench:", err)
-			os.Exit(1)
-		}
-		w.close()
+		emit("table2", "", table2)
 	case *table == 3:
-		w := newWriter(*csv, "table3")
-		table3(w)
-		w.close()
+		emit("table3", "", table3)
 	case *ablation:
-		w := newWriter(*csv, "ablation")
-		if err := ablations(w); err != nil {
-			fmt.Fprintln(os.Stderr, "cordbench:", err)
-			os.Exit(1)
-		}
-		w.close()
+		emit("ablation", "", ablations)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -189,9 +175,12 @@ func ablations(w *writer) error {
 	return nil
 }
 
-// writer tees rows to stdout (aligned) and optionally to a CSV file.
+// writer tees rows to stdout (aligned) and optionally to a CSV file. It keeps
+// the first CSV write error for close to report, so a full disk cannot
+// silently truncate the file.
 type writer struct {
 	csv *os.File
+	err error
 }
 
 func newWriter(dir, name string) *writer {
@@ -214,15 +203,20 @@ func newWriter(dir, name string) *writer {
 
 func (w *writer) row(cols ...string) {
 	fmt.Println(strings.Join(cols, "\t"))
-	if w.csv != nil {
-		fmt.Fprintln(w.csv, strings.Join(cols, ","))
+	if w.csv != nil && w.err == nil {
+		_, w.err = fmt.Fprintln(w.csv, strings.Join(cols, ","))
 	}
 }
 
-func (w *writer) close() {
-	if w.csv != nil {
-		w.csv.Close()
+// close closes the CSV file and returns the first write or close error.
+func (w *writer) close() error {
+	if w.csv == nil {
+		return nil
 	}
+	if err := w.csv.Close(); w.err == nil {
+		w.err = err
+	}
+	return w.err
 }
 
 func f(v float64) string  { return fmt.Sprintf("%.3f", v) }
@@ -349,7 +343,7 @@ func fig12(w *writer) error {
 	return nil
 }
 
-func table3(w *writer) {
+func table3(w *writer) error {
 	w.row("component", "entries", "area_mm2", "power_mW", "read_nJ", "write_nJ")
 	for _, r := range exp.Table3() {
 		if r.Total {
@@ -358,4 +352,5 @@ func table3(w *writer) {
 		}
 		w.row(r.Component, r.Entries, f(r.AreaMM2), f(r.PowerMW), f(r.ReadNJ), f(r.WriteNJ))
 	}
+	return nil
 }

@@ -40,7 +40,6 @@ func main() {
 		hosts     = flag.Int("hosts", 0, "override the host count (0 = Table 1 default of 8; validated up to 256)")
 		cores     = flag.Int("cores", 0, "override the cores per host (0 = Table 1 default of 8)")
 		mesh      = flag.Int("mesh", 0, "override the intra-host mesh columns (0 = Table 1 default of 4)")
-		workers   = flag.Int("sim-workers", 0, "host shards advanced concurrently by the partitioned engine (<=1 serial; results identical for any value)")
 		kvClients = flag.Int("kv-clients", 32, "kvsvc: client sessions per server core")
 		kvReqs    = flag.Int("kv-requests", 24, "kvsvc: requests per client session")
 		kvGetPct  = flag.Int("kv-get-pct", 50, "kvsvc: percentage of requests that are gets (0-100)")
@@ -60,17 +59,27 @@ func main() {
 		metricsOut  = flag.String("metrics-out", "", "write the observability metrics registry as JSON to this file")
 		httpAddr    = flag.String("http", "", "serve live introspection (/metrics, /progress, /runtime, /debug/pprof) on this address, e.g. localhost:6060")
 		progressF   = flag.Bool("progress", false, "print progress lines to stderr while simulating")
-		runtimeOut  = flag.String("runtime-report", "", "write the simulator-runtime telemetry report (per-shard window timings, steal/barrier/merge attribution) as JSON to this file; analyze with 'cordtrace scaling'")
+		runtimeOut  = flag.String("runtime-report", "", "write the simulator-runtime telemetry report (per-shard window timings, window/merge overhead) as JSON to this file; analyze with 'cordtrace scaling'")
 	)
 	flag.Parse()
 	if *hosts < 0 || *cores < 0 || *mesh < 0 {
 		fmt.Fprintf(os.Stderr, "cordsim: -hosts %d -cores %d -mesh %d: sizes must be >= 0 (0 keeps the Table 1 default)\n", *hosts, *cores, *mesh)
 		os.Exit(2)
 	}
+	if *kvArrival < 0 {
+		fmt.Fprintf(os.Stderr, "cordsim: -kv-arrival %g: must be >= 0 (0 runs a closed loop)\n", *kvArrival)
+		os.Exit(2)
+	}
 
-	sys := cord.CXLSystem()
-	if strings.EqualFold(*fabric, "UPI") {
+	var sys cord.System
+	switch strings.ToUpper(*fabric) {
+	case "CXL":
+		sys = cord.CXLSystem()
+	case "UPI":
 		sys = cord.UPISystem()
+	default:
+		fmt.Fprintf(os.Stderr, "cordsim: -fabric %q: must be CXL or UPI\n", *fabric)
+		os.Exit(2)
 	}
 	sys.Seed = *seed
 	if *hosts > 0 {
@@ -80,7 +89,6 @@ func main() {
 		sys.CoresPerHost = *cores
 	}
 	sys.MeshCols = *mesh
-	sys.SimWorkers = *workers
 	if *tso {
 		sys.Model = cord.TotalStoreOrder
 	}
@@ -153,21 +161,16 @@ func main() {
 
 	// Simulator-runtime telemetry: collected whenever something will consume
 	// it (-runtime-report, the live server's /runtime + cord_sim_* families,
-	// or per-window progress units). Single-host systems have no parallel
-	// runtime to observe; -compare reuses one system per protocol, so the
-	// per-run report is only offered for single-protocol runs.
+	// or per-window progress units). -compare reuses one system per
+	// protocol, so the per-run report is only offered for single-protocol
+	// runs.
 	if *runtimeOut != "" && *compare {
 		fmt.Fprintln(os.Stderr, "cordsim: -runtime-report is per run; drop -compare")
 		os.Exit(1)
 	}
 	var col *rt.Collector
-	if sys.Hosts > 1 && !*compare &&
-		(*runtimeOut != "" || *httpAddr != "" || *progressF) {
+	if !*compare && (*runtimeOut != "" || *httpAddr != "" || *progressF) {
 		col = rt.NewCollector(sys.Hosts)
-	}
-	if *runtimeOut != "" && col == nil {
-		fmt.Fprintln(os.Stderr, "cordsim: -runtime-report needs a multi-host run (-hosts > 1)")
-		os.Exit(1)
 	}
 
 	// Live introspection: -progress prints the shared tracker to stderr,

@@ -11,15 +11,17 @@
 //	breakdown trace.jsonl...          Fig. 2-style breakdown row per trace
 //	requests  trace.jsonl             service-level request latency per class
 //	                                  (kvsvc runs; aggregates req-done events)
-//	scaling   report.json             parallel-efficiency attribution of a
+//	scaling   report.json             window and merge overhead of a
 //	                                  cordsim -runtime-report snapshot
 //
 // All subcommands accept -csv for machine-readable output. Traces must be
 // recorded at -trace-sample 1 for the attribution to be exact; sampled traces
-// still analyze, but undercount.
+// still analyze, but undercount. A usage error exits with status 2, any
+// other failure with status 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,7 +41,7 @@ commands:
   diff      a.jsonl b.jsonl    per-class traffic delta between two traces
   breakdown trace.jsonl...     compute/stall/traffic breakdown per trace
   requests  trace.jsonl        service-level request latency per class (kvsvc)
-  scaling   report.json        parallel efficiency + lost-speedup attribution
+  scaling   report.json        window and merge overhead of the simulator
                                from a cordsim -runtime-report snapshot
 
 flags (per command):
@@ -76,8 +78,19 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cordtrace: %v\n", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
+}
+
+// usageError is a malformed command line, as opposed to a failure while
+// reading or analyzing its inputs.
+type usageError struct{ error }
+
+func usagef(format string, args ...any) error {
+	return usageError{fmt.Errorf(format, args...)}
 }
 
 func loadTrace(path string) ([]obs.Event, error) {
@@ -107,7 +120,7 @@ func cmdAnalyze(args []string) error {
 	csv := fs.Bool("csv", false, "emit CSV")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		return fmt.Errorf("analyze wants exactly one trace, got %d", fs.NArg())
+		return usagef("analyze wants exactly one trace, got %d", fs.NArg())
 	}
 	events, err := loadTrace(fs.Arg(0))
 	if err != nil {
@@ -142,11 +155,10 @@ func cmdTop(args []string) error {
 	k := fs.Int("k", 10, "number of releases to show")
 	fs.Parse(args)
 	if *k < 0 {
-		fmt.Fprintf(os.Stderr, "cordtrace: top -k %d: must be >= 0\n", *k)
-		os.Exit(2)
+		return usagef("top -k %d: must be >= 0", *k)
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("top wants exactly one trace, got %d", fs.NArg())
+		return usagef("top wants exactly one trace, got %d", fs.NArg())
 	}
 	events, err := loadTrace(fs.Arg(0))
 	if err != nil {
@@ -171,7 +183,7 @@ func cmdDiff(args []string) error {
 	csv := fs.Bool("csv", false, "emit CSV")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
-		return fmt.Errorf("diff wants exactly two traces, got %d", fs.NArg())
+		return usagef("diff wants exactly two traces, got %d", fs.NArg())
 	}
 	ea, err := loadTrace(fs.Arg(0))
 	if err != nil {
@@ -194,14 +206,14 @@ func cmdScaling(args []string) error {
 	csv := fs.Bool("csv", false, "emit per-bucket CSV")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		return fmt.Errorf("scaling wants exactly one runtime report, got %d", fs.NArg())
+		return usagef("scaling wants exactly one runtime report, got %d", fs.NArg())
 	}
 	rep, err := rt.LoadReport(fs.Arg(0))
 	if err != nil {
 		return err
 	}
 	if rep.Totals.Windows == 0 {
-		return fmt.Errorf("%s: no windows recorded (single-host run?)", fs.Arg(0))
+		return fmt.Errorf("%s: no windows recorded", fs.Arg(0))
 	}
 	if *csv {
 		return rt.WriteScalingCSV(os.Stdout, rep)
@@ -214,7 +226,7 @@ func cmdBreakdown(args []string) error {
 	csv := fs.Bool("csv", false, "emit CSV")
 	fs.Parse(args)
 	if fs.NArg() < 1 {
-		return fmt.Errorf("breakdown wants at least one trace")
+		return usagef("breakdown wants at least one trace")
 	}
 	for i, path := range fs.Args() {
 		events, err := loadTrace(path)

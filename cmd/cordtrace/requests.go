@@ -18,7 +18,7 @@ func cmdRequests(args []string) error {
 	csv := fs.Bool("csv", false, "emit CSV")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		return fmt.Errorf("requests wants exactly one trace, got %d", fs.NArg())
+		return usagef("requests wants exactly one trace, got %d", fs.NArg())
 	}
 	events, err := loadTrace(fs.Arg(0))
 	if err != nil {

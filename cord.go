@@ -87,11 +87,6 @@ type System struct {
 	Model Consistency
 	// Seed drives all randomness; equal seeds give identical results.
 	Seed int64
-	// SimWorkers bounds how many host shards the conservative-parallel
-	// simulation engine advances concurrently (<= 1 means serial). Results
-	// are byte-identical for every value; it only trades wall-clock time.
-	// Single-host systems always run on one engine.
-	SimWorkers int
 }
 
 // CXLSystem returns the paper's CXL configuration (Table 1).
@@ -250,7 +245,6 @@ func Simulate(w Workload, p Protocol, s System) (*Result, error) {
 		return nil, err
 	}
 	sys := proto.NewSystem(s.Seed, nc, s.mode())
-	sys.Workers = s.SimWorkers
 	run, err := proto.Exec(sys, b, cores, progs)
 	if err != nil {
 		return nil, err

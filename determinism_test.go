@@ -5,31 +5,63 @@ import (
 	"encoding/json"
 	"fmt"
 	"testing"
+
+	"cord/internal/obs"
+	rt "cord/internal/obs/runtime"
+	"cord/internal/proto"
 )
 
-// The conservative-parallel engine's contract is that the worker count is
-// invisible: a partitioned simulation must produce byte-identical traces,
-// metrics, and statistics whether its host shards run serially or on 8
-// workers. These tests are the battery that gates the parallel scheduler —
-// they compare complete exported artifacts, not summary numbers, so any
-// reordering (a racy merge, a schedule-dependent PRNG draw, a non-total
+// The partitioned engine's contract is that a simulation is a function of
+// its inputs: runs of one seed must produce byte-identical traces, metrics,
+// and statistics. These tests are the battery that gates the windowed
+// scheduler — they compare complete exported artifacts, not summary
+// numbers, so any reordering (a schedule-dependent PRNG draw, a non-total
 // injection order) fails loudly.
+//
+// proto.System.Workers is ignored — hosts always run one after another —
+// and stays only because perfbench's kv workload sets it to the CPU count.
+// The battery sets it too, so a value that leaked into the schedule would
+// show up here as well.
 
-// runArtifacts simulates an all-to-all workload on `hosts` hosts with the
-// given worker count and returns the full exported artifacts: the JSONL
-// event stream, the metrics registry JSON, and the run statistics JSON.
+// runArtifacts simulates an all-to-all workload on `hosts` hosts with
+// System.Workers set to workers and returns the full exported artifacts:
+// the JSONL event stream, the metrics registry JSON, and the run statistics
+// JSON.
 func runArtifacts(t *testing.T, hosts, workers int, seed int64) (trace, metrics, stats []byte) {
 	t.Helper()
-	s := CXLSystem() // jitter stays on: delivery skew must also be schedule-independent
+	return runArtifactsWith(t, hosts, workers, seed, nil)
+}
+
+// runArtifactsWith is runArtifacts with an optional runtime collector
+// attached; it runs the same steps as SimulateObserved.
+func runArtifactsWith(t *testing.T, hosts, workers int, seed int64, col *rt.Collector) (trace, metrics, stats []byte) {
+	t.Helper()
+	s := CXLSystem() // jitter stays on: delivery skew must also be reproducible
 	s.Hosts = hosts
-	s.Seed = seed
-	s.SimWorkers = workers
-	w := Alltoall(hosts, 3)
-	r, o, err := SimulateObserved(w, CORD, s, TraceOptions{})
+	nc, err := s.netConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cores, progs, err := Alltoall(hosts, 3).Programs(nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := builder(CORD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.New()
+	sys := proto.NewSystem(seed, nc, s.mode())
+	sys.Workers = workers
+	sys.Observe(rec)
+	if col != nil {
+		sys.AttachRuntime(col)
+	}
+	run, err := proto.Exec(sys, b, cores, progs)
 	if err != nil {
 		t.Fatalf("hosts=%d workers=%d: %v", hosts, workers, err)
 	}
-	return artifactsOf(t, r, o)
+	return artifactsOf(t, &Result{run: run}, &Observation{rec: rec})
 }
 
 // artifactsOf exports a finished observed run: the JSONL event stream, the
@@ -71,15 +103,16 @@ func checkIdentical(t *testing.T, label string, base, got []byte) {
 			}
 			return string(b[lo:h])
 		}
-		t.Errorf("%s diverges at byte %d:\n  serial:   …%s…\n  parallel: …%s…",
+		t.Errorf("%s diverges at byte %d:\n  first:  …%s…\n  second: …%s…",
 			label, i, snip(base), snip(got))
 	}
 }
 
-// TestWorkerCountByteIdentity is the tentpole gate: for every topology the
-// parallel engine supports, runs at 2, 4, and 8 workers must be
-// byte-identical to the 1-worker run of the same seed — trace, metrics, and
-// statistics alike. The 64-host sweep runs only without -short.
+// TestWorkerCountByteIdentity: for every topology the partitioned engine
+// supports, runs with Workers at 2, 4, and 8 must be byte-identical to the
+// Workers=1 run of the same seed — trace, metrics, and statistics alike —
+// which also makes it a four-run determinism check. The 64-host sweep runs
+// only without -short.
 func TestWorkerCountByteIdentity(t *testing.T) {
 	hostCounts := []int{2, 8}
 	if !testing.Short() {
@@ -90,7 +123,7 @@ func TestWorkerCountByteIdentity(t *testing.T) {
 		t.Run(fmt.Sprintf("hosts=%d", hosts), func(t *testing.T) {
 			baseTrace, baseMetrics, baseStats := runArtifacts(t, hosts, 1, 42)
 			if len(baseTrace) == 0 {
-				t.Fatal("serial run recorded no events — the battery is vacuous")
+				t.Fatal("run recorded no events — the battery is vacuous")
 			}
 			for _, workers := range []int{2, 4, 8} {
 				tr, me, st := runArtifacts(t, hosts, workers, 42)
@@ -102,9 +135,9 @@ func TestWorkerCountByteIdentity(t *testing.T) {
 	}
 }
 
-// TestParallelDoubleRunByteIdentity re-runs the same parallel configuration
-// twice: even at the maximum worker count, two runs of one seed must agree
-// byte-for-byte (no leakage of goroutine scheduling into results).
+// TestParallelDoubleRunByteIdentity re-runs one 8-host configuration twice:
+// two runs of one seed must agree byte-for-byte. (The name dates from the
+// goroutine-parallel window loop; the double-run check stands without it.)
 func TestParallelDoubleRunByteIdentity(t *testing.T) {
 	tr1, me1, st1 := runArtifacts(t, 8, 8, 7)
 	tr2, me2, st2 := runArtifacts(t, 8, 8, 7)
@@ -138,7 +171,6 @@ func TestLargeTopologyScales(t *testing.T) {
 			s.Hosts = hosts
 			s.CoresPerHost = 2
 			s.MeshCols = 2
-			s.SimWorkers = 8
 			r, err := Simulate(Alltoall(hosts, 1), CORD, s)
 			if err != nil {
 				t.Fatal(err)

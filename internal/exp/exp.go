@@ -71,17 +71,6 @@ func Builder(s Scheme) proto.Builder {
 	}
 }
 
-// simWorkers is the process-wide shard concurrency for partitioned
-// simulations (see SetSimWorkers).
-var simWorkers int
-
-// SetSimWorkers sets how many host shards every subsequent simulation
-// advances concurrently per conservative window (<= 1 means serial). Results
-// are byte-identical for every value — the knob only trades wall-clock time —
-// so a process-wide setting cannot perturb any experiment. cordsim and
-// cordbench wire their -sim-workers flag here.
-func SetSimWorkers(n int) { simWorkers = n }
-
 // Run executes one workload under one protocol and system configuration.
 func Run(p workload.Pattern, b proto.Builder, nc noc.Config, mode proto.Mode, seed int64) (*stats.Run, error) {
 	return RunObserved(p, b, nc, mode, seed, nil)
@@ -96,7 +85,6 @@ func RunObserved(p workload.Pattern, b proto.Builder, nc noc.Config, mode proto.
 		return nil, err
 	}
 	sys := proto.NewSystem(seed, nc, mode)
-	sys.Workers = simWorkers
 	if rec != nil {
 		sys.Observe(rec)
 	}

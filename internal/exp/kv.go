@@ -42,7 +42,6 @@ func RunKV(cfg kvsvc.Config, s Scheme, nc noc.Config, seed int64) (*stats.Run, k
 		return nil, kvsvc.Stats{}, err
 	}
 	sys := proto.NewSystem(seed, nc, proto.RC)
-	sys.Workers = simWorkers
 	if rec := liveRecorder(); rec != nil {
 		sys.Observe(rec)
 	}

@@ -69,7 +69,8 @@ func FuzzConfigValidate(f *testing.F) {
 		// Every accepted geometry must build, index nodes invertibly, and
 		// route a message to exactly the addressed node.
 		var traffic stats.Traffic
-		n := New(sim.NewEngine(1), cfg, &traffic)
+		eng := sim.NewEngine(1)
+		n := New(eng, cfg, &traffic)
 		modH := func(v int) int { return ((v % cfg.Hosts) + cfg.Hosts) % cfg.Hosts }
 		src := CoreID(modH(na), mod(na*7))
 		dst := DirID(modH(nb), mod(nb*3))
@@ -99,7 +100,7 @@ func FuzzConfigValidate(f *testing.F) {
 			n.Register(src, func(NodeID, any) { t.Fatalf("message mis-routed back to %v", src) })
 		}
 		n.Send(src, dst, stats.ClassRelaxedData, 64, "probe")
-		if err := n.eng.Run(); err != nil {
+		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
 		if delivered != 1 {

@@ -96,7 +96,7 @@ func TestSendZeroAllocUntraced(t *testing.T) {
 		eng := sim.NewEngine(1)
 		var tr stats.Traffic
 		n := New(eng, cfg, &tr)
-		n.SetObserver(rec)
+		n.SetObservers(everyHost(rec, cfg.Hosts))
 		src, dst, far := CoreID(0, 0), DirID(0, 5), DirID(1, 5)
 		sink := func(_ NodeID, _ any) {}
 		n.Register(dst, sink)
@@ -120,6 +120,15 @@ func TestSendZeroAllocUntraced(t *testing.T) {
 	}
 }
 
+// everyHost gives all hosts one recorder.
+func everyHost(rec *obs.Recorder, hosts int) []*obs.Recorder {
+	recs := make([]*obs.Recorder, hosts)
+	for i := range recs {
+		recs[i] = rec
+	}
+	return recs
+}
+
 // TestSendTracedAllocBounded bounds the sampled-path cost: one arrival
 // closure per traced message, plus amortized event-buffer growth. The exact
 // constant is implementation detail; the guard is that tracing stays O(1)
@@ -130,7 +139,7 @@ func TestSendTracedAllocBounded(t *testing.T) {
 	var tr stats.Traffic
 	n := New(eng, cfg, &tr)
 	rec := obs.New()
-	n.SetObserver(rec)
+	n.SetObservers(everyHost(rec, cfg.Hosts))
 	src, dst := CoreID(0, 0), DirID(1, 5)
 	n.Register(dst, func(_ NodeID, _ any) {})
 	payload := any(&struct{ v int }{v: 1})

@@ -8,13 +8,13 @@
 // ports), optional delivery jitter (to exercise out-of-order arrival handling
 // in protocols), and per-class traffic accounting.
 //
-// A Network runs in one of two modes. The single-engine mode (New) schedules
-// every delivery directly on one sim.Engine. The partitioned mode
-// (NewPartitioned) serves the host-sharded cluster scheduler: intra-host
-// deliveries schedule directly on the source host's engine, while cross-host
-// sends are buffered in a source-shard-owned outbox, filed once into an
-// arrival calendar at the next window barrier (Flush), and injected into the
-// destination shard in deterministic (time, source host, sequence) order.
+// Every host runs on an engine, and a delivery between hosts on the same
+// engine is scheduled on it directly. A send to a host on another engine is
+// buffered in a source-host outbox, filed once into an arrival calendar at
+// the next window barrier (Flush), and injected into the destination engine
+// in deterministic (time, source host, sequence) order. NewPartitioned gives
+// each host its own engine, as the host-sharded cluster scheduler needs; New
+// puts every host on one engine, so nothing is ever buffered.
 package noc
 
 import (
@@ -167,7 +167,7 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Lookahead returns the conservative parallel-simulation window W in cycles:
+// Lookahead returns the conservative simulation window W in cycles:
 // a lower bound on the delivery latency of any cross-host message. Every
 // cross-host send pays at least one inter-host link traversal
 // (sim.FromNanos(InterHostNs); ring distances are >= 1 link) on top of
@@ -217,7 +217,7 @@ func unpackID(w uint64) NodeID {
 	return NodeID{Host: int(w >> 33), Tile: int(w >> 1 & 0xFFFFFFFF), Kind: NodeKind(w & 1)}
 }
 
-// xmsg is one buffered cross-shard message in partitioned mode. The
+// xmsg is one buffered cross-engine message. The
 // (at, srcHost, seq) triple is the deterministic injection order at the
 // window barrier: at and srcHost fix the position across shards, seq (a
 // per-source-host counter) fixes it within one shard's same-cycle sends.
@@ -240,18 +240,11 @@ type xmsg struct {
 // accounts traffic, and schedules the destination handler.
 type Network struct {
 	cfg Config
-	// Single-engine mode (New): one engine, one traffic accumulator, one
-	// optional recorder.
-	eng     *sim.Engine
-	traffic *stats.Traffic
-	// obs is the optional observability recorder; nil disables tracing.
-	obs *obs.Recorder
-
-	// Partitioned mode (NewPartitioned): per-host engines, traffic
-	// accumulators, recorders, and cross-shard outboxes. engines != nil
-	// selects this mode. Everything indexed by host is touched only from
-	// that host's shard during a window, so the hot paths need no locks;
-	// Flush runs single-threaded at the window barrier.
+	// Per-host engines, traffic accumulators, optional recorders (nil
+	// disables tracing), and cross-engine outboxes. Hosts may share an
+	// engine and a traffic accumulator (New). Everything indexed by host is
+	// touched only while that host's engine runs, or by Flush at the window
+	// barrier.
 	engines  []*sim.Engine
 	traffics []*stats.Traffic
 	recs     []*obs.Recorder
@@ -260,7 +253,7 @@ type Network struct {
 	cal      *calendar // flushed messages awaiting their window
 
 	// egress[h] is host h's directional switch port; its serialization
-	// state is owned by the sending host's shard.
+	// state is owned by the sending host.
 	egress []link
 	// handlers / deliver are dense per-node tables indexed by
 	// (host, tile, kind): the registered handler and its monomorphic
@@ -273,8 +266,8 @@ type Network struct {
 	linkWhole uint64
 
 	// fobs is the optional simulator-runtime flush census hook (nil
-	// disables). It is invoked once per Flush, single-threaded at the
-	// window barrier, so it adds nothing to the per-message send path.
+	// disables). It is invoked once per Flush, at the window barrier, so it
+	// adds nothing to the per-message send path.
 	fobs FlushObserver
 }
 
@@ -288,29 +281,19 @@ type FlushObserver interface {
 	RecordFlush(injected, retained, mergedBytes int)
 }
 
-func newNetwork(cfg Config) *Network {
+// New creates a network with every host on one engine, accounting all
+// traffic into one accumulator. It panics on invalid configuration, which is
+// a programming error in experiment setup, not a runtime condition.
+func New(eng *sim.Engine, cfg Config, traffic *stats.Traffic) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	n := &Network{
-		cfg:      cfg,
-		egress:   make([]link, cfg.Hosts),
-		handlers: make([]Handler, cfg.Hosts*cfg.TilesPerHost*2),
-		deliver:  make([]sim.DeliverFunc, cfg.Hosts*cfg.TilesPerHost*2),
+	engines := make([]*sim.Engine, cfg.Hosts)
+	traffics := make([]*stats.Traffic, cfg.Hosts)
+	for h := range engines {
+		engines[h], traffics[h] = eng, traffic
 	}
-	if bpc := cfg.LinkBytesPerCycle; bpc >= 1 && bpc == math.Trunc(bpc) {
-		n.linkWhole = uint64(bpc)
-	}
-	return n
-}
-
-// New creates a single-engine network. It panics on invalid configuration,
-// which is a programming error in experiment setup, not a runtime condition.
-func New(eng *sim.Engine, cfg Config, traffic *stats.Traffic) *Network {
-	n := newNetwork(cfg)
-	n.eng = eng
-	n.traffic = traffic
-	return n
+	return NewPartitioned(engines, cfg, traffics)
 }
 
 // NewPartitioned creates a network over the host-sharded cluster scheduler:
@@ -318,16 +301,27 @@ func New(eng *sim.Engine, cfg Config, traffic *stats.Traffic) *Network {
 // implements sim.Exchanger; pass it to sim.Cluster.Run so buffered
 // cross-host messages are injected at each window barrier.
 func NewPartitioned(engines []*sim.Engine, cfg Config, traffics []*stats.Traffic) *Network {
-	n := newNetwork(cfg)
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	if len(engines) != cfg.Hosts || len(traffics) != cfg.Hosts {
 		panic(fmt.Sprintf("noc: %d engines / %d traffics for %d hosts",
 			len(engines), len(traffics), cfg.Hosts))
 	}
-	n.engines = engines
-	n.traffics = traffics
-	n.outbox = make([][]xmsg, cfg.Hosts)
-	n.seqs = make([]uint64, cfg.Hosts)
-	n.cal = &calendar{slab: make([]xmsg, 1)} // slot 0 is the nil link
+	n := &Network{
+		cfg:      cfg,
+		engines:  engines,
+		traffics: traffics,
+		outbox:   make([][]xmsg, cfg.Hosts),
+		seqs:     make([]uint64, cfg.Hosts),
+		cal:      &calendar{slab: make([]xmsg, 1)}, // slot 0 is the nil link
+		egress:   make([]link, cfg.Hosts),
+		handlers: make([]Handler, cfg.Hosts*cfg.TilesPerHost*2),
+		deliver:  make([]sim.DeliverFunc, cfg.Hosts*cfg.TilesPerHost*2),
+	}
+	if bpc := cfg.LinkBytesPerCycle; bpc >= 1 && bpc == math.Trunc(bpc) {
+		n.linkWhole = uint64(bpc)
+	}
 	return n
 }
 
@@ -344,13 +338,10 @@ func (n *Network) nodeIndex(id NodeID) int {
 // Config returns the network configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// SetObserver installs the observability recorder (nil disables). Metrics are
-// updated for every message; hop events obey the recorder's sampling.
-func (n *Network) SetObserver(rec *obs.Recorder) { n.obs = rec }
-
-// SetObservers installs per-shard recorders for partitioned mode (nil
-// disables): messages record into their source host's recorder, deliveries
-// into the destination host's.
+// SetObservers installs per-host recorders (nil disables): messages record
+// into their source host's recorder, deliveries into the destination host's.
+// Metrics are updated for every message; hop events obey the recorder's
+// sampling.
 func (n *Network) SetObservers(recs []*obs.Recorder) {
 	if recs != nil && len(recs) != n.cfg.Hosts {
 		panic(fmt.Sprintf("noc: %d recorders for %d hosts", len(recs), n.cfg.Hosts))
@@ -359,10 +350,9 @@ func (n *Network) SetObservers(recs []*obs.Recorder) {
 }
 
 // SetFlushObserver installs the runtime flush-census hook (nil detaches).
-// Only meaningful in partitioned mode, where Flush runs; harmless otherwise.
 func (n *Network) SetFlushObserver(o FlushObserver) { n.fobs = o }
 
-// recOf returns host h's recorder in partitioned mode (nil when untraced).
+// recOf returns host h's recorder (nil when untraced).
 func (n *Network) recOf(h int) *obs.Recorder {
 	if n.recs == nil {
 		return nil
@@ -441,10 +431,12 @@ func (n *Network) serialization(bytes int) sim.Time {
 // performs no allocation: delivery is a monomorphic event carrying the
 // node's pre-built sim.DeliverFunc, the packed source, and the payload.
 //
-// In partitioned mode, Send must execute on the source host's shard — true
-// for every protocol engine, whose components only send from their own node —
-// and cross-host deliveries are buffered until the next window barrier
-// (Flush) instead of being scheduled immediately.
+// Send must execute on the source host's engine — true for every protocol
+// engine, whose components only send from their own node. A delivery to a
+// host on another engine is buffered until the next window barrier (Flush)
+// instead of being scheduled immediately. Delivery jitter draws from the
+// source host's engine PRNG, so each engine's jitter stream depends only on
+// its own (deterministic) send order.
 func (n *Network) Send(src, dst NodeID, class stats.MsgClass, bytes int, payload any) {
 	if bytes <= 0 {
 		panic(fmt.Sprintf("noc: message size %d must be positive", bytes))
@@ -453,48 +445,59 @@ func (n *Network) Send(src, dst NodeID, class stats.MsgClass, bytes int, payload
 	if idx < 0 || n.handlers[idx] == nil {
 		panic(fmt.Sprintf("noc: no handler registered for %v", dst))
 	}
-	if n.engines != nil {
-		n.sendSharded(src, dst, idx, class, bytes, payload)
-		return
-	}
-	interHost := src.Host != dst.Host
-	n.traffic.Add(class, bytes, interHost)
-	n.obs.CountMsg(class, bytes, interHost)
+	sh := src.Host
+	eng := n.engines[sh]
+	interHost := sh != dst.Host
+	n.traffics[sh].Add(class, bytes, interHost)
+	rec := n.recOf(sh)
+	rec.CountMsg(class, bytes, interHost)
 
-	delay, queueing := n.delay(n.eng, src, dst, bytes, interHost)
+	delay, queueing := n.delay(eng, src, dst, bytes, interHost)
 	if n.cfg.JitterCycles > 0 {
-		delay += sim.Time(n.eng.Rand().Intn(n.cfg.JitterCycles + 1))
+		delay += sim.Time(eng.Rand().Intn(n.cfg.JitterCycles + 1))
 	}
-	n.obs.ObserveLatency(class, delay)
-	if n.obs.Take() {
-		// Trace the whole hop under one sampling decision: the Send now, the
-		// Link entry when the message queued for an inter-host port, and the
-		// Deliver from the arrival continuation. This sampled path is the one
-		// place a Send still allocates (the arrival closure below).
-		now := n.eng.Now()
+	rec.ObserveLatency(class, delay)
+	// Trace the whole hop under one sampling decision: the Send now, the
+	// Link entry when the message queued for an inter-host port, and the
+	// Deliver on arrival.
+	traced := rec.Take()
+	if traced {
+		now := eng.Now()
 		osrc, odst := src.Obs(), dst.Obs()
-		n.obs.Record(obs.Event{At: now, Kind: obs.KSend, Src: osrc, Dst: odst,
+		rec.Record(obs.Event{At: now, Kind: obs.KSend, Src: osrc, Dst: odst,
 			Class: class, Bytes: bytes, Dur: delay, Wait: queueing})
 		if interHost && queueing > 0 {
-			n.obs.Record(obs.Event{At: now + queueing, Kind: obs.KLink,
+			rec.Record(obs.Event{At: now + queueing, Kind: obs.KLink,
 				Src: osrc, Dst: odst, Class: class, Bytes: bytes, Wait: queueing})
 		}
-		rec, h := n.obs, n.handlers[idx]
-		n.eng.Schedule(delay, func() {
-			rec.Record(obs.Event{At: n.eng.Now(), Kind: obs.KDeliver,
+	}
+	if n.engines[dst.Host] != eng {
+		n.seqs[sh]++
+		n.outbox[sh] = append(n.outbox[sh], xmsg{
+			at: eng.Now() + delay, seq: n.seqs[sh], srcHost: int32(sh),
+			dstIdx: int32(idx), traced: traced, src: packID(src),
+			class: class, bytes: int32(bytes), dur: delay, payload: payload,
+		})
+		return
+	}
+	if traced {
+		// The one place a Send still allocates: the arrival closure.
+		h, drec := n.handlers[idx], n.recOf(dst.Host)
+		osrc, odst := src.Obs(), dst.Obs()
+		eng.Schedule(delay, func() {
+			drec.Record(obs.Event{At: eng.Now(), Kind: obs.KDeliver,
 				Src: osrc, Dst: odst, Class: class, Bytes: bytes, Dur: delay})
 			h(src, payload)
 		})
 		return
 	}
-	n.eng.ScheduleDeliver(delay, n.deliver[idx], packID(src), payload)
+	eng.ScheduleDeliver(delay, n.deliver[idx], packID(src), payload)
 }
 
 // delay computes a message's latency excluding jitter — mesh hops plus, for
 // inter-host messages, the link traversal, serialization, and egress-port
 // queueing — charging the egress port. The egress state is owned by the
-// sending host (= the executing shard in partitioned mode), so this is safe
-// under parallel windows.
+// sending host, whose engine is eng.
 func (n *Network) delay(eng *sim.Engine, src, dst NodeID, bytes int, interHost bool) (delay, queueing sim.Time) {
 	delay = n.Latency(src, dst)
 	if !interHost {
@@ -512,66 +515,13 @@ func (n *Network) delay(eng *sim.Engine, src, dst NodeID, bytes int, interHost b
 	return delay + queueing + ser, queueing
 }
 
-// sendSharded is the partitioned-mode Send path. Intra-host messages behave
-// exactly as in single-engine mode, on the source host's engine and recorder.
-// Cross-host messages are appended to the source shard's outbox with their
-// computed arrival time and injected at the next window barrier. Delivery
-// jitter draws from the source shard's engine PRNG, so each host's jitter
-// stream depends only on that shard's (deterministic) send order — never on
-// how shards interleave across workers.
-func (n *Network) sendSharded(src, dst NodeID, idx int, class stats.MsgClass, bytes int, payload any) {
-	sh := src.Host
-	eng := n.engines[sh]
-	interHost := sh != dst.Host
-	n.traffics[sh].Add(class, bytes, interHost)
-	rec := n.recOf(sh)
-	rec.CountMsg(class, bytes, interHost)
-
-	delay, queueing := n.delay(eng, src, dst, bytes, interHost)
-	if n.cfg.JitterCycles > 0 {
-		delay += sim.Time(eng.Rand().Intn(n.cfg.JitterCycles + 1))
-	}
-	rec.ObserveLatency(class, delay)
-	traced := rec.Take()
-	if traced {
-		now := eng.Now()
-		osrc, odst := src.Obs(), dst.Obs()
-		rec.Record(obs.Event{At: now, Kind: obs.KSend, Src: osrc, Dst: odst,
-			Class: class, Bytes: bytes, Dur: delay, Wait: queueing})
-		if interHost && queueing > 0 {
-			rec.Record(obs.Event{At: now + queueing, Kind: obs.KLink,
-				Src: osrc, Dst: odst, Class: class, Bytes: bytes, Wait: queueing})
-		}
-	}
-	if interHost {
-		n.seqs[sh]++
-		n.outbox[sh] = append(n.outbox[sh], xmsg{
-			at: eng.Now() + delay, seq: n.seqs[sh], srcHost: int32(sh),
-			dstIdx: int32(idx), traced: traced, src: packID(src),
-			class: class, bytes: int32(bytes), dur: delay, payload: payload,
-		})
-		return
-	}
-	if traced {
-		h := n.handlers[idx]
-		osrc, odst := src.Obs(), dst.Obs()
-		eng.Schedule(delay, func() {
-			rec.Record(obs.Event{At: eng.Now(), Kind: obs.KDeliver,
-				Src: osrc, Dst: odst, Class: class, Bytes: bytes, Dur: delay})
-			h(src, payload)
-		})
-		return
-	}
-	eng.ScheduleDeliver(delay, n.deliver[idx], packID(src), payload)
-}
-
 // Flush implements sim.Exchanger: it files every outbox message into the
 // arrival calendar, then injects every buffered cross-host message with
 // arrival time <= horizon into its destination shard's engine, in (arrival
 // time, source host, per-host sequence) order — a total order, since the
 // sequence is unique per source host. Later messages stay filed for a future
-// window. Flush runs single-threaded at the window barrier, so it may touch
-// every shard's engine and outbox.
+// window. Flush runs at the window barrier, between windows, so it may touch
+// every engine and outbox.
 func (n *Network) Flush(horizon sim.Time) (int, sim.Time) {
 	c := n.cal
 	for sh, ob := range n.outbox {

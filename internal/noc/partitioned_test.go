@@ -27,7 +27,7 @@ func partitionedNet(cfg Config, seed int64) (*sim.Cluster, *Network) {
 }
 
 // TestPartitionedSendZeroAllocUntraced extends the hot-path allocation guard
-// to partitioned mode: steady-state intra-host sends, cross-host buffering
+// to one engine per host: steady-state intra-host sends, cross-host buffering
 // (outbox append), the window-barrier Flush, and injection must all be
 // allocation-free once buffers have grown. The driver event is scheduled
 // through the slot-based ScheduleDeliver so the test harness itself adds no
@@ -76,9 +76,9 @@ func metricsOnlyRecs(n int) []*obs.Recorder {
 }
 
 // TestPartitionedMatchesSingleEngineTiming pins the partitioned cross-host
-// arrival time to the single-engine formula: the window barrier may delay
-// *injection*, but delivery must land on exactly the cycle the classic
-// engine computes (latency + serialization; jitter off for exactness).
+// arrival time to the one a network with every host on one engine (New)
+// computes: the window barrier may delay *injection*, but delivery must land
+// on exactly that cycle (latency + serialization; jitter off for exactness).
 func TestPartitionedMatchesSingleEngineTiming(t *testing.T) {
 	cfg := CXLConfig()
 	cfg.JitterCycles = 0

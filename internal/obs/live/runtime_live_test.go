@@ -18,15 +18,14 @@ func seedRuntime() *rt.Collector {
 	col := rt.NewCollector(2)
 	col.RecordFlush(4, 1, 512)
 	col.ObserveWindow(&sim.WindowRecord{
-		Anchor: 0, Deadline: 49, Workers: 2, Active: 2,
+		Anchor: 0, Deadline: 49, Active: 2,
 		WallNs: 1000, FlushNs: 100,
-		StealAttempts: 4, StealHits: 2,
 		ShardStartNs: []int64{0, 100},
 		ShardBusyNs:  []int64{800, 600},
 		ShardEvents:  []uint64{30, 20},
 	})
 	col.ObserveWindow(&sim.WindowRecord{
-		Anchor: 50, Deadline: 99, Workers: 2, Active: 1,
+		Anchor: 50, Deadline: 99, Active: 1,
 		WallNs:       500,
 		ShardStartNs: []int64{0, -1},
 		ShardBusyNs:  []int64{500, 0},
@@ -69,16 +68,17 @@ func TestServerRuntimeEndpoint(t *testing.T) {
 		`cord_sim_shard_busy_ns{shard="0"} 1300`,
 		`cord_sim_shard_idle_ns{shard="1"} 100`,
 		`cord_sim_shard_events_total{shard="1"} 20`,
-		`cord_sim_steal_total{result="attempt"} 4`,
-		`cord_sim_steal_total{result="hit"} 2`,
 		"cord_sim_outbox_injected_total 4",
 		"cord_sim_outbox_merged_bytes_total 512",
 		"cord_sim_outbox_retained_peak 1",
-		"cord_sim_parallel_efficiency",
+		"cord_sim_efficiency",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	if strings.Contains(body, "cord_sim_steal_total") {
+		t.Error("/metrics still exports the retired steal family")
 	}
 }
 

@@ -45,9 +45,8 @@ type Server struct {
 
 // SetRuntime attaches a simulator-runtime telemetry collector: /runtime
 // serves its Report snapshot as JSON and /metrics gains the cord_sim_*
-// families (per-shard busy/idle/barrier wall time, steal counters, outbox
-// census, live parallel efficiency). Safe to call while serving; nil
-// detaches.
+// families (per-shard busy/idle/barrier wall time, outbox census, live
+// efficiency). Safe to call while serving; nil detaches.
 func (s *Server) SetRuntime(col *rt.Collector) { s.rt.Store(col) }
 
 // active is the server expvar reads through: expvar.Publish is global and
@@ -139,7 +138,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRuntime(w http.ResponseWriter, _ *http.Request) {
 	col := s.rt.Load()
 	if col == nil {
-		http.Error(w, "no runtime collector attached (single-host run?)", http.StatusNotFound)
+		http.Error(w, "no runtime collector attached", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -330,23 +329,18 @@ func writeRuntimePrometheus(w http.ResponseWriter, r *rt.Report) {
 	}
 	shardFam("cord_sim_shard_busy_ns", "wall ns the shard spent executing events",
 		func(t *rt.ShardTotals) uint64 { return t.BusyNs })
-	shardFam("cord_sim_shard_idle_ns", "wall ns the shard waited to start its window",
+	shardFam("cord_sim_shard_idle_ns", "wall ns the shard waited for earlier shards in its window",
 		func(t *rt.ShardTotals) uint64 { return t.IdleNs })
-	shardFam("cord_sim_shard_barrier_ns", "wall ns the shard waited at window barriers",
+	shardFam("cord_sim_shard_barrier_ns", "wall ns the shard waited for later shards in its window",
 		func(t *rt.ShardTotals) uint64 { return t.BarrierNs })
 	shardFam("cord_sim_shard_events_total", "events the shard executed",
 		func(t *rt.ShardTotals) uint64 { return t.Events })
-
-	fmt.Fprint(w, "# HELP cord_sim_steal_total work-queue shard claims by the window workers\n"+
-		"# TYPE cord_sim_steal_total counter\n")
-	fmt.Fprintf(w, "cord_sim_steal_total{result=\"attempt\"} %d\n", r.Totals.StealTries)
-	fmt.Fprintf(w, "cord_sim_steal_total{result=\"hit\"} %d\n", r.Totals.StealHits)
 
 	fmt.Fprintf(w, "# TYPE cord_sim_outbox_injected_total counter\ncord_sim_outbox_injected_total %d\n", r.Totals.Injected)
 	fmt.Fprintf(w, "# TYPE cord_sim_outbox_merged_bytes_total counter\ncord_sim_outbox_merged_bytes_total %d\n", r.Totals.MergedBytes)
 	fmt.Fprintf(w, "# TYPE cord_sim_outbox_retained_peak gauge\ncord_sim_outbox_retained_peak %d\n", r.RetainedPeak)
 
 	s := rt.Analyze(r)
-	fmt.Fprintf(w, "# HELP cord_sim_parallel_efficiency busy fraction of window capacity\n"+
-		"# TYPE cord_sim_parallel_efficiency gauge\ncord_sim_parallel_efficiency %.4f\n", s.Efficiency)
+	fmt.Fprintf(w, "# HELP cord_sim_efficiency fraction of elapsed simulator time spent executing events\n"+
+		"# TYPE cord_sim_efficiency gauge\ncord_sim_efficiency %.4f\n", s.Efficiency)
 }

@@ -139,8 +139,7 @@ func (r *Recorder) EngineDepth(depth int) {
 // Merge folds other into m: counters and stalls sum, latency distributions
 // merge, queue peaks take the maximum. Every field is commutative under
 // Merge, so per-shard registries folded in any order equal a single shared
-// registry — which is what makes partitioned-run metrics independent of the
-// worker count.
+// registry.
 func (m *Metrics) Merge(other *Metrics) {
 	for c := 0; c < stats.NumClasses; c++ {
 		m.MsgsIntra[c] += other.MsgsIntra[c]

@@ -31,9 +31,9 @@ func EmitChrome(r *Report, emit func(format string, args ...any)) {
 	phases := [3]struct {
 		name, cname string
 	}{
-		{"idle", "generic_work"}, // start lag: waiting for a worker
+		{"idle", "generic_work"}, // start lag: the shards before it in the window
 		{"busy", "good"},         // executing events
-		{"barrier", "terrible"},  // waiting on slower shards
+		{"barrier", "terrible"},  // the shards after it in the window
 	}
 	for i := range r.Series {
 		b := &r.Series[i]

@@ -12,8 +12,7 @@ import (
 // payload of `cordsim -runtime-report`, the `/runtime` live endpoint, and the
 // input to `cordtrace scaling`.
 type Report struct {
-	Hosts   int `json:"hosts"`
-	Workers int `json:"workers"`
+	Hosts int `json:"hosts"`
 
 	Totals       Bucket `json:"totals"`
 	Flushes      uint64 `json:"flushes"`
@@ -60,36 +59,29 @@ func LoadReport(path string) (*Report, error) {
 	return ReadReport(f)
 }
 
-// Scaling is the parallel-efficiency analysis of a report: how much of the
-// cluster's execution capacity did useful work, and where the rest went.
+// Scaling is the overhead analysis of a report: how much of the simulator's
+// elapsed wall time executed events, and where the rest went.
 //
-// The model: each window runs on slots = min(workers, active shards). Its
-// execute-phase capacity is slots x wall-ns; the barrier merge is
-// single-threaded, so its capacity is slots x flush-ns of which only 1 x
-// flush-ns is useful. Lost execute capacity splits between barrier imbalance
-// (shards finished and waited — the window's critical-path shard was longer)
-// and steal/start lag (shards waited to begin — work distribution), in
-// proportion to the measured per-shard barrier vs idle nanoseconds, which
-// together tile exactly the capacity the busy time didn't use.
+// The model: the elapsed time is the windows' execute phases plus their
+// barrier merges (wall + flush). Shards run one after another inside a
+// window, so the execute phase less the shards' busy time is the window
+// loop's own bookkeeping: finding the due shards and reading the clocks. The
+// merge is the Exchanger filing and injecting cross-host messages. The three
+// shares sum to 1.
 type Scaling struct {
 	Windows uint64 `json:"windows"`
 	Events  uint64 `json:"events"`
 
-	// Efficiency is useful/(capacity): (busy+flush) / (cap+flushCap), in
-	// [0,1]. SpeedupEstimate is the run's effective parallelism:
-	// useful work divided by elapsed wall (busy+flush)/(wall+flush) — what a
-	// perfectly efficient run would achieve with that many workers.
-	Efficiency      float64 `json:"efficiency"`
-	SpeedupEstimate float64 `json:"speedup_estimate"`
+	// Efficiency is busy / (wall + flush), in [0,1].
+	Efficiency float64 `json:"efficiency"`
 
-	// Loss attribution, as fractions of total capacity (they sum with
-	// Efficiency to ~1).
-	LostBarrier float64 `json:"lost_barrier"`
-	LostSteal   float64 `json:"lost_steal"`
-	LostMerge   float64 `json:"lost_merge"`
+	// Loss attribution, as fractions of the elapsed time: window
+	// bookkeeping (wall - busy) and the barrier merge (flush).
+	LostWindow float64 `json:"lost_window"`
+	LostMerge  float64 `json:"lost_merge"`
 
-	// Dominant names the largest loss bucket ("barrier", "steal", "merge",
-	// or "none" when efficiency is ~1).
+	// Dominant names the larger loss ("window" or "merge"), or "none" when
+	// both are below 1%.
 	Dominant string `json:"dominant"`
 
 	PerBucket []BucketScaling `json:"per_bucket,omitempty"`
@@ -97,94 +89,65 @@ type Scaling struct {
 
 // BucketScaling is the same analysis for one timeline bucket.
 type BucketScaling struct {
-	Start       uint64  `json:"start_cycle"`
-	End         uint64  `json:"end_cycle"`
-	Windows     uint64  `json:"windows"`
-	Efficiency  float64 `json:"efficiency"`
-	LostBarrier float64 `json:"lost_barrier"`
-	LostSteal   float64 `json:"lost_steal"`
-	LostMerge   float64 `json:"lost_merge"`
-	Dominant    string  `json:"dominant"`
+	Start      uint64  `json:"start_cycle"`
+	End        uint64  `json:"end_cycle"`
+	Windows    uint64  `json:"windows"`
+	Efficiency float64 `json:"efficiency"`
+	LostWindow float64 `json:"lost_window"`
+	LostMerge  float64 `json:"lost_merge"`
+	Dominant   string  `json:"dominant"`
 }
 
-// analyzeBucket attributes one bucket's capacity.
-func analyzeBucket(b *Bucket) (eff, barrier, steal, merge float64) {
-	cap := float64(b.CapNs + b.FlushCapNs)
-	if cap <= 0 {
-		return 1, 0, 0, 0
+// analyzeBucket splits one bucket's elapsed time.
+func analyzeBucket(b *Bucket) (eff, window, merge float64) {
+	elapsed := float64(b.WallNs + b.FlushNs)
+	if elapsed <= 0 {
+		return 1, 0, 0
 	}
-	useful := float64(b.BusyNs + b.FlushNs)
-	if useful > cap {
-		useful = cap // clock granularity can overshoot by a few ns
-	}
-	mergeLost := float64(b.FlushCapNs) - float64(b.FlushNs)
-	if mergeLost < 0 {
-		mergeLost = 0
-	}
-	execLost := cap - useful - mergeLost
-	if execLost < 0 {
-		execLost = 0
-	}
-	den := float64(b.BarrierNs + b.IdleNs)
-	var barrierLost, stealLost float64
-	if den > 0 {
-		barrierLost = execLost * float64(b.BarrierNs) / den
-		stealLost = execLost - barrierLost
-	} else {
-		barrierLost = execLost // nothing measured: fold into barrier
-	}
-	return useful / cap, barrierLost / cap, stealLost / cap, mergeLost / cap
+	busy := float64(min(b.BusyNs, b.WallNs)) // clock granularity can overshoot by a few ns
+	return busy / elapsed, (float64(b.WallNs) - busy) / elapsed, float64(b.FlushNs) / elapsed
 }
 
-func dominant(eff, barrier, steal, merge float64) string {
-	if barrier < 0.01 && steal < 0.01 && merge < 0.01 {
-		return "none"
-	}
+func dominant(window, merge float64) string {
 	switch {
-	case barrier >= steal && barrier >= merge:
-		return "barrier"
-	case steal >= merge:
-		return "steal"
+	case window < 0.01 && merge < 0.01:
+		return "none"
+	case window >= merge:
+		return "window"
 	default:
 		return "merge"
 	}
 }
 
-// Analyze computes the scaling breakdown for a report.
+// Analyze computes the overhead breakdown for a report.
 func Analyze(r *Report) Scaling {
 	s := Scaling{Windows: r.Totals.Windows, Events: r.Totals.Events}
-	s.Efficiency, s.LostBarrier, s.LostSteal, s.LostMerge = analyzeBucket(&r.Totals)
-	elapsed := float64(r.Totals.WallNs + r.Totals.FlushNs)
-	if elapsed > 0 {
-		s.SpeedupEstimate = float64(r.Totals.BusyNs+r.Totals.FlushNs) / elapsed
-	}
-	s.Dominant = dominant(s.Efficiency, s.LostBarrier, s.LostSteal, s.LostMerge)
+	s.Efficiency, s.LostWindow, s.LostMerge = analyzeBucket(&r.Totals)
+	s.Dominant = dominant(s.LostWindow, s.LostMerge)
 	s.PerBucket = make([]BucketScaling, 0, len(r.Series))
 	for i := range r.Series {
 		b := &r.Series[i].Bucket
-		eff, ba, st, me := analyzeBucket(b)
+		eff, win, me := analyzeBucket(b)
 		s.PerBucket = append(s.PerBucket, BucketScaling{
 			Start: b.Start, End: b.End, Windows: b.Windows,
-			Efficiency: eff, LostBarrier: ba, LostSteal: st, LostMerge: me,
-			Dominant: dominant(eff, ba, st, me),
+			Efficiency: eff, LostWindow: win, LostMerge: me,
+			Dominant: dominant(win, me),
 		})
 	}
 	return s
 }
 
-// WriteScaling renders the human-readable scaling report `cordtrace scaling`
-// prints: run-wide efficiency with loss attribution, the per-shard balance
-// table, and the bucketed timeline.
+// WriteScaling renders the human-readable report `cordtrace scaling` prints:
+// the run-wide split of elapsed time, the per-shard table, and the bucketed
+// timeline.
 func WriteScaling(w io.Writer, r *Report) error {
 	s := Analyze(r)
-	fmt.Fprintf(w, "simulator scaling report: %d hosts x %d workers\n", r.Hosts, r.Workers)
+	fmt.Fprintf(w, "simulator runtime report: %d hosts\n", r.Hosts)
 	fmt.Fprintf(w, "windows %d  events %d  wall %.2fms  merge %.2fms  flushes %d\n",
 		s.Windows, s.Events,
 		float64(r.Totals.WallNs)/1e6, float64(r.Totals.FlushNs)/1e6, r.Flushes)
-	fmt.Fprintf(w, "parallel efficiency %.1f%%  (effective workers %.2f of %d)\n",
-		s.Efficiency*100, s.SpeedupEstimate, r.Workers)
-	fmt.Fprintf(w, "lost capacity: barrier imbalance %.1f%% | steal/start lag %.1f%% | cross-host merge %.1f%%  -> dominant: %s\n",
-		s.LostBarrier*100, s.LostSteal*100, s.LostMerge*100, s.Dominant)
+	fmt.Fprintf(w, "event execution %.1f%% of elapsed | window bookkeeping %.1f%% | cross-host merge %.1f%%  -> dominant loss: %s\n",
+		s.Efficiency*100, s.LostWindow*100, s.LostMerge*100, s.Dominant)
 	fmt.Fprintf(w, "cross-host: %d msgs / %d bytes merged, outbox peak %d retained\n",
 		r.Totals.Injected, r.Totals.MergedBytes, r.RetainedPeak)
 
@@ -204,13 +167,13 @@ func WriteScaling(w io.Writer, r *Report) error {
 
 	if len(s.PerBucket) > 0 {
 		fmt.Fprintf(w, "\ntimeline (%d windows/bucket):\n", r.WindowsPerBucket)
-		fmt.Fprintf(w, "  %22s %8s %6s %9s %9s %9s  %s\n",
-			"cycles", "windows", "eff%", "barrier%", "steal%", "merge%", "dominant")
+		fmt.Fprintf(w, "  %22s %8s %6s %9s %9s  %s\n",
+			"cycles", "windows", "eff%", "window%", "merge%", "dominant")
 		for i := range s.PerBucket {
 			b := &s.PerBucket[i]
-			fmt.Fprintf(w, "  [%9d,%9d] %8d %5.1f%% %8.1f%% %8.1f%% %8.1f%%  %s\n",
+			fmt.Fprintf(w, "  [%9d,%9d] %8d %5.1f%% %8.1f%% %8.1f%%  %s\n",
 				b.Start, b.End, b.Windows, b.Efficiency*100,
-				b.LostBarrier*100, b.LostSteal*100, b.LostMerge*100, b.Dominant)
+				b.LostWindow*100, b.LostMerge*100, b.Dominant)
 		}
 	}
 	return nil
@@ -220,14 +183,14 @@ func WriteScaling(w io.Writer, r *Report) error {
 func WriteScalingCSV(w io.Writer, r *Report) error {
 	s := Analyze(r)
 	if _, err := fmt.Fprintln(w,
-		"start_cycle,end_cycle,windows,efficiency,lost_barrier,lost_steal,lost_merge,dominant"); err != nil {
+		"start_cycle,end_cycle,windows,efficiency,lost_window,lost_merge,dominant"); err != nil {
 		return err
 	}
 	for i := range s.PerBucket {
 		b := &s.PerBucket[i]
-		if _, err := fmt.Fprintf(w, "%d,%d,%d,%.4f,%.4f,%.4f,%.4f,%s\n",
+		if _, err := fmt.Fprintf(w, "%d,%d,%d,%.4f,%.4f,%.4f,%s\n",
 			b.Start, b.End, b.Windows, b.Efficiency,
-			b.LostBarrier, b.LostSteal, b.LostMerge, b.Dominant); err != nil {
+			b.LostWindow, b.LostMerge, b.Dominant); err != nil {
 			return err
 		}
 	}

@@ -1,15 +1,15 @@
 // Package runtime collects telemetry about the simulator's own execution —
-// per-shard busy/idle/barrier wall time, steal behavior, and cross-shard
+// per-shard busy/idle/barrier wall time, window bookkeeping, and cross-shard
 // merge volume for the host-partitioned conservative-window cluster. It is
 // the counterpart to package obs, which observes the simulated machine: obs
-// answers "why is the release slow", runtime answers "why don't 8 workers
-// give 8x".
+// answers "why is the release slow", runtime answers "where does the
+// simulator's time go besides executing events".
 //
 // The Collector implements sim.WindowObserver and noc.FlushObserver. Both
-// hooks run single-threaded at window barriers, so the hot path inside a
-// window costs nothing beyond the cluster's own clock reads, and the
-// per-event path costs nothing at all: the serial-window 0 allocs/op
-// guarantee holds with telemetry enabled (guarded by AllocsPerRun tests).
+// hooks run at window barriers, so the hot path inside a window costs nothing
+// beyond the cluster's own clock reads, and the per-event path costs nothing
+// at all: the window loop's 0 allocs/op guarantee holds with telemetry
+// enabled (guarded by AllocsPerRun tests).
 //
 // Everything here measures host wall-clock time and is therefore
 // non-deterministic by nature. It is quarantined from the deterministic
@@ -34,10 +34,10 @@ const DefaultMaxSeries = 512
 
 // ShardSlice is one shard's wall-time decomposition within a series bucket.
 // BusyNs is time inside RunUntil, IdleNs the lag before the shard started
-// (queueing behind other shards on its worker), BarrierNs the wait from the
-// shard finishing until the window barrier. The three tile the shard's share
-// of the bucket's wall time exactly — they are derived from the same
-// monotonic clock reads.
+// (the shards before it in the window), BarrierNs the wait from the shard
+// finishing until the window barrier. The three tile the shard's share of
+// the bucket's wall time exactly — they are derived from the same monotonic
+// clock reads.
 type ShardSlice struct {
 	BusyNs    uint64 `json:"busy_ns"`
 	IdleNs    uint64 `json:"idle_ns"`
@@ -54,30 +54,23 @@ func (s *ShardSlice) add(o ShardSlice) {
 
 // Bucket aggregates one or more consecutive windows. Start/End are the
 // simulated-time bounds (cycles) of the covered windows; everything else is
-// host wall time or counts summed over them.
-//
-// CapNs is the execute-phase capacity: slots x wall per window, where slots =
-// min(workers, active shards). FlushCapNs is the same for the single-threaded
-// barrier merge (slots x flush). Efficiency and loss attribution are ratios
-// over these (see Analyze).
+// host wall time or counts summed over them. WallNs is the windows' execute
+// phases, FlushNs their barrier merges, and BusyNs, IdleNs and BarrierNs the
+// sums of the active shards' ShardSlice parts (see Analyze).
 type Bucket struct {
 	Start   uint64 `json:"start_cycle"`
 	End     uint64 `json:"end_cycle"`
 	Windows uint64 `json:"windows"`
 
-	WallNs     uint64 `json:"wall_ns"`
-	FlushNs    uint64 `json:"flush_ns"`
-	CapNs      uint64 `json:"capacity_ns"`
-	FlushCapNs uint64 `json:"flush_capacity_ns"`
+	WallNs  uint64 `json:"wall_ns"`
+	FlushNs uint64 `json:"flush_ns"`
 
 	BusyNs    uint64 `json:"busy_ns"`
 	IdleNs    uint64 `json:"idle_ns"`
 	BarrierNs uint64 `json:"barrier_ns"`
 
-	Events     uint64 `json:"events"`
-	ActiveSum  uint64 `json:"active_sum"` // sum of per-window active-shard counts
-	StealTries uint64 `json:"steal_attempts"`
-	StealHits  uint64 `json:"steal_hits"`
+	Events    uint64 `json:"events"`
+	ActiveSum uint64 `json:"active_sum"` // sum of per-window active-shard counts
 
 	Injected    uint64 `json:"outbox_injected"`
 	MergedBytes uint64 `json:"outbox_merged_bytes"`
@@ -95,15 +88,11 @@ func (b *Bucket) merge(o *Bucket) {
 	b.Windows += o.Windows
 	b.WallNs += o.WallNs
 	b.FlushNs += o.FlushNs
-	b.CapNs += o.CapNs
-	b.FlushCapNs += o.FlushCapNs
 	b.BusyNs += o.BusyNs
 	b.IdleNs += o.IdleNs
 	b.BarrierNs += o.BarrierNs
 	b.Events += o.Events
 	b.ActiveSum += o.ActiveSum
-	b.StealTries += o.StealTries
-	b.StealHits += o.StealHits
 	b.Injected += o.Injected
 	b.MergedBytes += o.MergedBytes
 	if o.RetainedMax > b.RetainedMax {
@@ -124,7 +113,7 @@ type ShardTotals struct {
 	WallNs    uint64 `json:"wall_ns"`
 }
 
-// Collector accumulates runtime telemetry for one partitioned run. Create
+// Collector accumulates runtime telemetry for one run. Create
 // with NewCollector, attach via proto.System.AttachRuntime (which wires it as
 // the cluster's WindowObserver and the network's FlushObserver), snapshot at
 // any time with Snapshot — the mutex makes live scraping safe while windows
@@ -133,7 +122,6 @@ type Collector struct {
 	mu        sync.Mutex
 	shards    int
 	maxSeries int
-	workers   int
 
 	totals Bucket
 	sh     []ShardTotals
@@ -209,38 +197,22 @@ func (c *Collector) init(shards int) {
 	c.stride = 1
 }
 
-// ObserveWindow implements sim.WindowObserver. Called single-threaded at each
-// window barrier; allocation-free once the collector is initialized.
+// ObserveWindow implements sim.WindowObserver. Called at each window
+// barrier; allocation-free once the collector is initialized.
 func (c *Collector) ObserveWindow(rec *sim.WindowRecord) {
 	c.mu.Lock()
 	if c.shards == 0 {
 		c.init(len(rec.ShardStartNs))
 	}
-	if rec.Workers > c.workers {
-		c.workers = rec.Workers // per-window value is clamped to active shards
-	}
 
 	wall := nsU(rec.WallNs)
-	flush := nsU(rec.FlushNs)
-	slots := rec.Workers
-	if slots > rec.Active {
-		slots = rec.Active
-	}
-	if slots < 1 {
-		slots = 1
-	}
-
 	w := Bucket{
 		Start:       uint64(rec.Anchor),
 		End:         uint64(rec.Deadline),
 		Windows:     1,
 		WallNs:      wall,
-		FlushNs:     flush,
-		CapNs:       uint64(slots) * wall,
-		FlushCapNs:  uint64(slots) * flush,
+		FlushNs:     nsU(rec.FlushNs),
 		ActiveSum:   uint64(rec.Active),
-		StealTries:  rec.StealAttempts,
-		StealHits:   rec.StealHits,
 		Injected:    c.pendInjected,
 		MergedBytes: c.pendBytes,
 		RetainedMax: c.pendRetained,
@@ -369,7 +341,6 @@ func (c *Collector) Snapshot() *Report {
 	defer c.mu.Unlock()
 	r := &Report{
 		Hosts:            c.shards,
-		Workers:          c.workers,
 		Totals:           c.totals,
 		Flushes:          c.flushes,
 		RetainedPeak:     c.retainedPeak,

@@ -14,11 +14,11 @@ import (
 
 // window builds a synthetic WindowRecord. starts[i] < 0 marks shard i
 // inactive; Active is derived.
-func window(anchor, deadline sim.Time, workers int, wall, flush int64,
+func window(anchor, deadline sim.Time, wall, flush int64,
 	starts, busys []int64, evs []uint64) *sim.WindowRecord {
 	r := &sim.WindowRecord{
 		Anchor: anchor, Deadline: deadline,
-		Workers: workers, WallNs: wall, FlushNs: flush,
+		WallNs: wall, FlushNs: flush,
 		ShardStartNs: starts, ShardBusyNs: busys, ShardEvents: evs,
 	}
 	for _, s := range starts {
@@ -33,10 +33,10 @@ func TestCollectorTotalsAndTiling(t *testing.T) {
 	col := rt.NewCollector(3)
 	col.RecordFlush(5, 2, 640)
 	col.RecordFlush(3, 1, 160)
-	col.ObserveWindow(window(0, 99, 2, 1000, 100,
-		[]int64{0, 100, -1}, []int64{900, 500, 0}, []uint64{50, 30, 0}))
-	col.ObserveWindow(window(100, 199, 2, 2000, 0,
-		[]int64{0, -1, 500}, []int64{2000, 0, 1000}, []uint64{10, 0, 20}))
+	col.ObserveWindow(window(0, 99, 1000, 100,
+		[]int64{0, 100, -1}, []int64{100, 800, 0}, []uint64{50, 30, 0}))
+	col.ObserveWindow(window(100, 199, 2000, 0,
+		[]int64{0, -1, 500}, []int64{500, 0, 1500}, []uint64{10, 0, 20}))
 
 	if got := col.Windows(); got != 2 {
 		t.Fatalf("Windows() = %d, want 2", got)
@@ -46,16 +46,15 @@ func TestCollectorTotalsAndTiling(t *testing.T) {
 	}
 
 	r := col.Snapshot()
-	if r.Hosts != 3 || r.Workers != 2 {
-		t.Fatalf("hosts=%d workers=%d, want 3/2", r.Hosts, r.Workers)
+	if r.Hosts != 3 {
+		t.Fatalf("hosts=%d, want 3", r.Hosts)
 	}
 	tot := r.Totals
 	if tot.WallNs != 3000 || tot.FlushNs != 100 {
 		t.Errorf("wall=%d flush=%d, want 3000/100", tot.WallNs, tot.FlushNs)
 	}
-	// slots = min(workers, active) = 2 both windows.
-	if tot.CapNs != 2*1000+2*2000 || tot.FlushCapNs != 2*100 {
-		t.Errorf("cap=%d flushCap=%d, want 6000/200", tot.CapNs, tot.FlushCapNs)
+	if tot.BusyNs != 2900 || tot.IdleNs != 600 || tot.BarrierNs != 2500 {
+		t.Errorf("busy=%d idle=%d barrier=%d, want 2900/600/2500", tot.BusyNs, tot.IdleNs, tot.BarrierNs)
 	}
 	if tot.ActiveSum != 4 {
 		t.Errorf("activeSum=%d, want 4", tot.ActiveSum)
@@ -73,9 +72,9 @@ func TestCollectorTotalsAndTiling(t *testing.T) {
 	}
 
 	want := []rt.ShardTotals{
-		{Shard: 0, Windows: 2, Events: 60, BusyNs: 2900, IdleNs: 0, BarrierNs: 100, WallNs: 3000},
-		{Shard: 1, Windows: 1, Events: 30, BusyNs: 500, IdleNs: 100, BarrierNs: 400, WallNs: 1000},
-		{Shard: 2, Windows: 1, Events: 20, BusyNs: 1000, IdleNs: 500, BarrierNs: 500, WallNs: 2000},
+		{Shard: 0, Windows: 2, Events: 60, BusyNs: 600, IdleNs: 0, BarrierNs: 2400, WallNs: 3000},
+		{Shard: 1, Windows: 1, Events: 30, BusyNs: 800, IdleNs: 100, BarrierNs: 100, WallNs: 1000},
+		{Shard: 2, Windows: 1, Events: 20, BusyNs: 1500, IdleNs: 500, BarrierNs: 0, WallNs: 2000},
 	}
 	if !reflect.DeepEqual(r.PerShard, want) {
 		t.Fatalf("per-shard:\n got %+v\nwant %+v", r.PerShard, want)
@@ -88,17 +87,12 @@ func TestCollectorTotalsAndTiling(t *testing.T) {
 	}
 }
 
-func TestCollectorLazyInitAndWorkerMax(t *testing.T) {
+func TestCollectorLazyInit(t *testing.T) {
 	col := rt.NewCollector(0) // sizes itself on the first window
-	col.ObserveWindow(window(0, 9, 4, 100, 0,
-		[]int64{0, 0}, []int64{50, 50}, []uint64{1, 1}))
-	// A final dribble window running on fewer workers must not shrink the
-	// reported worker count.
-	col.ObserveWindow(window(10, 19, 1, 100, 0,
-		[]int64{0, -1}, []int64{100, 0}, []uint64{1, 0}))
-	r := col.Snapshot()
-	if r.Hosts != 2 || r.Workers != 4 {
-		t.Fatalf("hosts=%d workers=%d, want 2/4", r.Hosts, r.Workers)
+	col.ObserveWindow(window(0, 9, 100, 0,
+		[]int64{0, 50}, []int64{50, 50}, []uint64{1, 1}))
+	if r := col.Snapshot(); r.Hosts != 2 || len(r.PerShard) != 2 {
+		t.Fatalf("hosts=%d, %d shard rows, want 2/2", r.Hosts, len(r.PerShard))
 	}
 }
 
@@ -108,7 +102,7 @@ func TestSeriesCoarsening(t *testing.T) {
 	col.SetMaxSeries(8)
 	for i := 0; i < windows; i++ {
 		a := sim.Time(i * 10)
-		col.ObserveWindow(window(a, a+9, 1, 10, 0,
+		col.ObserveWindow(window(a, a+9, 10, 0,
 			[]int64{0, 2}, []int64{6, 4}, []uint64{3, 1}))
 	}
 	r := col.Snapshot()
@@ -146,26 +140,24 @@ func TestAnalyzeAttribution(t *testing.T) {
 		dominant string
 	}{
 		{
-			name: "perfect",
-			tot:  rt.Bucket{Windows: 10, CapNs: 1000, BusyNs: 1000, WallNs: 1000},
+			name: "all-busy",
+			tot:  rt.Bucket{Windows: 10, BusyNs: 1000, WallNs: 1000},
 			eff:  1, dominant: "none",
 		},
 		{
-			name: "barrier-bound",
-			tot:  rt.Bucket{Windows: 10, CapNs: 1000, BusyNs: 400, BarrierNs: 600, WallNs: 500},
-			eff:  0.4, dominant: "barrier",
-		},
-		{
-			name: "steal-bound",
-			tot: rt.Bucket{Windows: 10, CapNs: 1000, BusyNs: 400,
-				BarrierNs: 100, IdleNs: 500, WallNs: 500},
-			eff: 0.4, dominant: "steal",
+			name: "window-bound",
+			tot:  rt.Bucket{Windows: 10, BusyNs: 400, WallNs: 1000, FlushNs: 0},
+			eff:  0.4, dominant: "window",
 		},
 		{
 			name: "merge-bound",
-			tot: rt.Bucket{Windows: 10, CapNs: 400, BusyNs: 400,
-				FlushCapNs: 400, FlushNs: 100, WallNs: 100},
-			eff: 0.625, dominant: "merge",
+			tot:  rt.Bucket{Windows: 10, BusyNs: 500, WallNs: 600, FlushNs: 400},
+			eff:  0.5, dominant: "merge",
+		},
+		{
+			name: "busy-overshoot",
+			tot:  rt.Bucket{Windows: 1, BusyNs: 1003, WallNs: 1000},
+			eff:  1, dominant: "none",
 		},
 	}
 	for _, tc := range cases {
@@ -176,7 +168,7 @@ func TestAnalyzeAttribution(t *testing.T) {
 		if s.Dominant != tc.dominant {
 			t.Errorf("%s: dominant %q, want %q", tc.name, s.Dominant, tc.dominant)
 		}
-		if sum := s.Efficiency + s.LostBarrier + s.LostSteal + s.LostMerge; sum < 0.999 || sum > 1.001 {
+		if sum := s.Efficiency + s.LostWindow + s.LostMerge; sum < 0.999 || sum > 1.001 {
 			t.Errorf("%s: efficiency+losses = %.4f, want ~1", tc.name, sum)
 		}
 	}
@@ -185,9 +177,9 @@ func TestAnalyzeAttribution(t *testing.T) {
 func TestReportJSONRoundTrip(t *testing.T) {
 	col := rt.NewCollector(2)
 	col.RecordFlush(4, 1, 320)
-	col.ObserveWindow(window(0, 49, 2, 500, 40,
+	col.ObserveWindow(window(0, 49, 500, 40,
 		[]int64{0, 10}, []int64{400, 300}, []uint64{7, 5}))
-	col.ObserveWindow(window(50, 99, 2, 700, 0,
+	col.ObserveWindow(window(50, 99, 700, 0,
 		[]int64{5, -1}, []int64{600, 0}, []uint64{9, 0}))
 	rep := col.Snapshot()
 
@@ -206,7 +198,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 
 func TestWriteScalingOutput(t *testing.T) {
 	col := rt.NewCollector(2)
-	col.ObserveWindow(window(0, 49, 2, 1000, 50,
+	col.ObserveWindow(window(0, 49, 1000, 50,
 		[]int64{0, 200}, []int64{900, 500}, []uint64{40, 20}))
 	rep := col.Snapshot()
 
@@ -216,9 +208,9 @@ func TestWriteScalingOutput(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"simulator scaling report: 2 hosts x 2 workers",
-		"parallel efficiency",
-		"dominant:",
+		"simulator runtime report: 2 hosts",
+		"event execution",
+		"dominant loss:",
 		"per-shard",
 		"timeline",
 	} {
@@ -239,7 +231,7 @@ func TestWriteScalingOutput(t *testing.T) {
 
 func TestEmitChrome(t *testing.T) {
 	col := rt.NewCollector(2)
-	col.ObserveWindow(window(0, 999, 2, 1000, 0,
+	col.ObserveWindow(window(0, 999, 1000, 0,
 		[]int64{0, 100}, []int64{800, 500}, []uint64{10, 5}))
 	rep := col.Snapshot()
 
@@ -288,7 +280,7 @@ func TestOnWindowCallback(t *testing.T) {
 	col.SetOnWindow(func(total uint64) { got = append(got, total) })
 	for i := 0; i < 3; i++ {
 		a := sim.Time(i * 10)
-		col.ObserveWindow(window(a, a+9, 1, 10, 0,
+		col.ObserveWindow(window(a, a+9, 10, 0,
 			[]int64{0}, []int64{10}, []uint64{5}))
 	}
 	if !reflect.DeepEqual(got, []uint64{5, 10, 15}) {
@@ -303,7 +295,7 @@ func TestOnWindowCallback(t *testing.T) {
 func TestObserveWindowNoAlloc(t *testing.T) {
 	col := rt.NewCollector(4)
 	col.SetMaxSeries(4)
-	rec := window(0, 9, 2, 100, 10,
+	rec := window(0, 9, 100, 10,
 		[]int64{0, 5, -1, 20}, []int64{80, 60, 0, 40}, []uint64{3, 2, 0, 1})
 	for i := 0; i < 64; i++ {
 		col.ObserveWindow(rec)
@@ -317,8 +309,8 @@ func TestObserveWindowNoAlloc(t *testing.T) {
 	}
 }
 
-// TestClusterTelemetryZeroAllocSerial is the end-to-end guard for the serial
-// window path with telemetry attached: scheduling and retiring events through
+// TestClusterTelemetryZeroAllocSerial is the end-to-end guard for the window
+// loop with telemetry attached: scheduling and retiring events through
 // Cluster.Run with a live Collector must not allocate per event.
 func TestClusterTelemetryZeroAllocSerial(t *testing.T) {
 	const shards, perShard = 4, 64
@@ -358,7 +350,7 @@ func BenchmarkRuntimeTelemetryObserveWindow(b *testing.B) {
 	starts := []int64{0, 1, 2, 3, 4, 5, 6, 7}
 	busys := []int64{90, 80, 70, 60, 50, 40, 30, 20}
 	evs := []uint64{9, 8, 7, 6, 5, 4, 3, 2}
-	rec := window(0, 99, 4, 100, 10, starts, busys, evs)
+	rec := window(0, 99, 100, 10, starts, busys, evs)
 	col.ObserveWindow(rec)
 	b.ReportAllocs()
 	b.ResetTimer()

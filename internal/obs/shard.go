@@ -2,21 +2,22 @@ package obs
 
 // Per-shard recording for the host-partitioned simulation engine.
 //
-// A partitioned run gives every shard (host) its own child recorder so the
-// hot recording paths stay lock-free: shard-owned components and the NoC
-// record into their shard's child, and after the run the children are folded
-// back into the parent — metrics by commutative Merge, events by a
-// deterministic k-way merge keyed (At, shard index). Because each child's
-// stream and registry depend only on its shard's event order (which the
-// conservative-window scheduler fixes independently of the worker count),
-// the merged observation is byte-identical across worker counts.
+// Every run gives each shard (host) its own child recorder: shard-owned
+// components and the NoC record into their shard's child, and after the run
+// the children are folded back into the parent — metrics by commutative
+// Merge, events by a deterministic k-way merge keyed (At, shard index). The
+// shards run one after another, so a single shared recorder would work
+// mechanically, but the split is what defines the trace bytes: each child
+// keeps its own sampling counter, and the (At, shard) merge orders the events
+// of one window across shards. A shared recorder fed in shard order would
+// reorder events inside a window and sample different messages, changing the
+// artifacts of every multi-host run.
 //
 // One exception keeps live introspection working: when the parent has shared
 // (mutex-guarded) metrics — ShareMetrics was called, as the live server does
 // — children write the parent's registry directly under its lock. Metrics
 // updates are commutative sums and maxes, so the final registry is still
-// deterministic; mid-run scrapes simply see a partial sum, exactly as they
-// do in a single-engine run.
+// deterministic; mid-run scrapes simply see a partial sum.
 
 // Split returns n child recorders, one per shard. Children inherit the
 // parent's sampling divisor (with independent counters) and its
@@ -50,7 +51,7 @@ func (r *Recorder) Split(n int) []*Recorder {
 // the parent sink in (At, shard) order. Within one shard, events keep their
 // recording order — the stream is compared by its head event only, so a
 // shard's occasional future-stamped event (a KLink recorded at send time)
-// stays behind its predecessor exactly as in a single-engine stream. The
+// stays behind its predecessor. The
 // children are drained; calling MergeShards twice is harmless.
 func (r *Recorder) MergeShards(children []*Recorder) {
 	if r == nil {

@@ -18,7 +18,7 @@ import (
 
 // These guards extend the kernel regression suite to the protocol adapters:
 // every protocol decision is a call into internal/proto/core, wire messages
-// come from a pool, and delayed directory work rides the engine's typed
+// are recycled through the System's free list, and delayed directory work rides the engine's typed
 // delivery path, so nothing on the sim hot path may allocate per event. The
 // committed BENCH_kernel.json is the baseline; the assertions allow headroom
 // for amortization noise but catch the failure mode that matters (a send,

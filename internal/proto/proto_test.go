@@ -268,25 +268,20 @@ func TestFinishTimeRecorded(t *testing.T) {
 	}
 }
 
-// TestFreeMsgPoisonsAndPanicsOnDoubleFree: in a serial and in a parallel
-// run, a freed message carries the poison kind, so a stale read hits a
-// handler's default panic, and freeing it again panics.
+// TestFreeMsgPoisonsAndPanicsOnDoubleFree: a freed message carries the poison
+// kind, so a stale read hits a handler's default panic, and freeing it again
+// panics.
 func TestFreeMsgPoisonsAndPanicsOnDoubleFree(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		sys := NewSystem(1, smallConfig(), RC)
-		sys.Workers = workers
-		m := sys.NewMsg(core.Msg{Kind: core.MSOStore, Src: 3, Val: 7})
-		sys.FreeMsg(m)
-		if m.Kind != freedKind {
-			t.Fatalf("workers=%d: freed message has kind %d, want %d", workers, m.Kind, freedKind)
-		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("workers=%d: second FreeMsg did not panic", workers)
-				}
-			}()
-			sys.FreeMsg(m)
-		}()
+	sys := NewSystem(1, smallConfig(), RC)
+	m := sys.NewMsg(core.Msg{Kind: core.MSOStore, Src: 3, Val: 7})
+	sys.FreeMsg(m)
+	if m.Kind != freedKind {
+		t.Fatalf("freed message has kind %d, want %d", m.Kind, freedKind)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("second FreeMsg did not panic")
+		}
+	}()
+	sys.FreeMsg(m)
 }

@@ -1,26 +1,20 @@
 package sim
 
 import (
-	"context"
 	"fmt"
-	"runtime/pprof"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Exchanger buffers cross-shard messages between conservative windows. The
 // NoC implements it: sends whose destination lives on another shard are
-// appended to a source-shard-owned outbox during a window, and Flush — always
-// called single-threaded, at the window barrier — files them into a per-cycle
-// arrival calendar and moves every buffered message with timestamp <= horizon
-// into its destination engine in a deterministic order. Horizons never
-// decrease, and the conservative window bound puts every new message after
-// the last horizon. Flush returns how many messages stay buffered (their
-// timestamps exceed the horizon) and the earliest such timestamp, so the
-// scheduler can anchor the next window on a message even when every engine
-// has drained.
+// appended to a source-shard-owned outbox during a window, and Flush — called
+// at the window barrier — files them into a per-cycle arrival calendar and
+// moves every buffered message with timestamp <= horizon into its destination
+// engine in a deterministic order. Horizons never decrease, and the
+// conservative window bound puts every new message after the last horizon.
+// Flush returns how many messages stay buffered (their timestamps exceed the
+// horizon) and the earliest such timestamp, so the scheduler can anchor the
+// next window on a message even when every engine has drained.
 type Exchanger interface {
 	Flush(horizon Time) (remaining int, earliest Time)
 }
@@ -38,37 +32,29 @@ type WindowRecord struct {
 	// minimum pending timestamp and Anchor + W - 1.
 	Anchor   Time
 	Deadline Time
-	// Workers is the worker count the window executed with (after clamping
-	// to the active-shard count); Active the number of shards that had
-	// events due.
-	Workers int
-	Active  int
-	// WallNs is the barrier-to-barrier wall time of the execute phase.
-	// FlushNs is the single-threaded Exchanger merge time charged to this
-	// window (the pre-window flush plus the previous window's census probe).
+	// Active is the number of shards that had events due.
+	Active int
+	// WallNs is the wall time of the execute phase. FlushNs is the Exchanger
+	// merge time charged to this window (the pre-window flush plus the
+	// previous window's census probe).
 	WallNs  int64
 	FlushNs int64
-	// StealAttempts counts work-queue claims by the window's workers;
-	// StealHits the claims that yielded a shard. Both are zero on the serial
-	// path (one worker runs the shards inline — nothing to steal).
-	StealAttempts uint64
-	StealHits     uint64
 	// Per-shard measurements, indexed by shard. A shard inactive this window
 	// has ShardStartNs[i] == -1. For active shards, ShardStartNs is the lag
-	// from window start until the shard began executing (queueing behind
-	// other shards on its worker), ShardBusyNs the time inside RunUntil, and
-	// ShardEvents the events the shard retired. The shard's barrier wait is
-	// WallNs - ShardStartNs - ShardBusyNs by construction, so the three
-	// components tile the window wall exactly.
+	// from window start until the shard began executing (the shards before
+	// it in the window), ShardBusyNs the time inside RunUntil, and
+	// ShardEvents the events the shard retired. The shard's wait for the
+	// rest of the window is WallNs - ShardStartNs - ShardBusyNs by
+	// construction, so the three components tile the window wall exactly.
 	ShardStartNs []int64
 	ShardBusyNs  []int64
 	ShardEvents  []uint64
 }
 
-// WindowObserver receives one WindowRecord per executed window, invoked
-// single-threaded at the barrier after every shard has finished. Implemented
-// by obs/runtime.Collector; the hook costs nothing when unset (no clock
-// reads, no extra branches on the per-event path).
+// WindowObserver receives one WindowRecord per executed window, invoked at
+// the barrier after every shard has finished. Implemented by
+// obs/runtime.Collector; the hook costs nothing when unset (no clock reads,
+// no extra branches on the per-event path).
 type WindowObserver interface {
 	ObserveWindow(*WindowRecord)
 }
@@ -76,43 +62,28 @@ type WindowObserver interface {
 // Cluster advances one Engine per shard (one shard per simulated host) in
 // bounded conservative windows. The window width is the minimum cross-shard
 // delivery latency W: an event executing at time t can only schedule work on
-// another shard at t+W or later, so all shards may run [T, T+W-1]
-// independently once every already-buffered cross-shard message due in that
-// range has been injected. No null messages, no rollback.
+// another shard at t+W or later, so every shard may run [T, T+W-1] on its own
+// once every already-buffered cross-shard message due in that range has been
+// injected. No null messages, no rollback.
 //
-// Determinism is independent of the worker count by construction: the
-// partition (one shard per host) and the window sequence depend only on event
-// timestamps, never on which worker ran a shard, and the Exchanger injects
-// cross-shard messages in a total (time, source-host, sequence) order at the
-// single-threaded barrier. Workers only decide how many shards execute their
-// window concurrently; each shard's event order is fully determined either
-// way, so a 1-worker run and an 8-worker run are byte-identical. Runtime
+// Shards run their window one after another, in shard order. Each shard's
+// event order depends only on event timestamps and its own PRNG, and the
+// Exchanger injects cross-shard messages in a total (time, source-host,
+// sequence) order at the barrier, so a run is deterministic. Runtime
 // telemetry (SetWindowObserver) reads only the wall clock and engine event
 // counters — it observes the schedule without becoming an input to it.
 type Cluster struct {
 	engines []*Engine
 	window  Time
 
-	active []int   // scratch: shards with events due in the current window
-	errs   []error // scratch: per-shard errors from a parallel window
+	active []int // scratch: shards with events due in the current window
 
 	// Runtime telemetry (nil = disabled, zero overhead). rec's per-shard
 	// slices are allocated once by SetWindowObserver and reused per window;
-	// flushNs accumulates Exchanger merge time between barriers; the steal
-	// counters are flushed by workers once per window (not per claim).
-	wobs          WindowObserver
-	rec           WindowRecord
-	flushNs       int64
-	stealAttempts atomic.Uint64
-	stealHits     atomic.Uint64
-
-	// pprof goroutine labels for the parallel window path, so -http CPU
-	// profiles attribute samples per shard/worker. Both are built in
-	// NewCluster: the window's workers only read them, and a window never
-	// runs more workers than shards. The serial path never labels (it would
-	// cost allocations on the 0 allocs/op window loop).
-	shardLabels  []string
-	workerLabels []string
+	// flushNs accumulates Exchanger merge time between barriers.
+	wobs    WindowObserver
+	rec     WindowRecord
+	flushNs int64
 }
 
 // seedFor derives shard i's engine seed from the base seed (splitmix-style
@@ -136,14 +107,10 @@ func NewCluster(seed int64, shards int, window Time) *Cluster {
 		engines: make([]*Engine, shards),
 		window:  window,
 		active:  make([]int, 0, shards),
-		errs:    make([]error, shards),
 	}
-	labels := make([]string, shards)
 	for i := range c.engines {
 		c.engines[i] = NewEngine(seedFor(seed, i))
-		labels[i] = strconv.Itoa(i)
 	}
-	c.shardLabels, c.workerLabels = labels, labels
 	return c
 }
 
@@ -179,7 +146,7 @@ func (c *Cluster) SetMaxEvents(n uint64) {
 // SetWindowObserver installs the per-window runtime telemetry hook (nil
 // detaches). The record's per-shard slices are allocated here, once, so the
 // window loop itself stays allocation-free with telemetry enabled. Call
-// before Run; the observer is invoked single-threaded at window barriers.
+// before Run; the observer is invoked at window barriers.
 func (c *Cluster) SetWindowObserver(o WindowObserver) {
 	c.wobs = o
 	if o != nil && c.rec.ShardStartNs == nil {
@@ -215,14 +182,14 @@ func (c *Cluster) flush(ex Exchanger, horizon Time) (int, Time) {
 }
 
 // Run executes the cluster to completion: windows of width W anchored at the
-// global minimum pending timestamp, a Flush barrier before each window, and
-// up to workers shards running their window concurrently. It returns the
-// first (lowest-shard) engine error, typically the MaxEvents guard. A nil
-// Exchanger is valid for workloads with no cross-shard traffic.
+// global minimum pending timestamp, with a Flush barrier before each window.
+// It returns the first (lowest-shard) engine error, typically the MaxEvents
+// guard. A nil Exchanger is valid for workloads with no cross-shard traffic.
+//
+// workers is ignored: shards always run one after another. The parameter
+// stays only because perfbench's ladder passes it; it goes with perfbench's
+// next benchmark revision.
 func (c *Cluster) Run(workers int, ex Exchanger) error {
-	if workers < 1 {
-		workers = 1
-	}
 	buffered, bufEarliest := 0, Time(0)
 	for {
 		t, ok := c.earliest()
@@ -236,7 +203,7 @@ func (c *Cluster) Run(workers int, ex Exchanger) error {
 		if ex != nil {
 			buffered, bufEarliest = c.flush(ex, deadline)
 		}
-		if err := c.runWindow(t, deadline, workers); err != nil {
+		if err := c.runWindow(t, deadline); err != nil {
 			return err
 		}
 		if ex != nil {
@@ -250,12 +217,10 @@ func (c *Cluster) Run(workers int, ex Exchanger) error {
 	}
 }
 
-// runWindow executes every shard that has events due by deadline. Shards are
-// independent within a window (the conservative W bound guarantees no
-// cross-shard event at <= deadline can be created during it), so they run on
-// up to workers goroutines; with one worker they run inline, in shard order,
-// with zero scheduling overhead.
-func (c *Cluster) runWindow(anchor, deadline Time, workers int) error {
+// runWindow executes, in shard order, every shard that has events due by
+// deadline. Shards are independent within a window: the conservative W bound
+// guarantees no cross-shard event at <= deadline can be created during it.
+func (c *Cluster) runWindow(anchor, deadline Time) error {
 	c.active = c.active[:0]
 	for i, e := range c.engines {
 		if at, ok := e.NextAt(); ok && at <= deadline {
@@ -264,9 +229,6 @@ func (c *Cluster) runWindow(anchor, deadline Time, workers int) error {
 	}
 	if len(c.active) == 0 {
 		return nil
-	}
-	if workers > len(c.active) {
-		workers = len(c.active)
 	}
 	tel := c.wobs != nil
 	var start time.Time
@@ -278,110 +240,31 @@ func (c *Cluster) runWindow(anchor, deadline Time, workers int) error {
 			c.rec.ShardEvents[i] = 0
 		}
 	}
-	if workers <= 1 {
-		for _, i := range c.active {
-			var s0 time.Duration
-			var e0 uint64
-			if tel {
-				s0 = time.Since(start)
-				e0 = c.engines[i].executed
-			}
-			if err := c.engines[i].RunUntil(deadline); err != nil {
-				return fmt.Errorf("sim: shard %d: %w", i, err)
-			}
-			if tel {
-				d := time.Since(start)
-				c.rec.ShardStartNs[i] = s0.Nanoseconds()
-				c.rec.ShardBusyNs[i] = (d - s0).Nanoseconds()
-				c.rec.ShardEvents[i] = c.engines[i].executed - e0
-			}
-		}
-		c.observeWindow(tel, start, anchor, deadline, workers)
-		return nil
-	}
-	// The parallel loop lives in its own method: its goroutine closures
-	// capture the wall-clock base, and sharing a frame with the serial path
-	// above would make that base escape to the heap — one allocation per
-	// window even at one worker, breaking the serial 0 allocs/op guarantee.
-	if err := c.runShardsParallel(start, tel, deadline, workers); err != nil {
-		return err
-	}
-	c.observeWindow(tel, start, anchor, deadline, workers)
-	return nil
-}
-
-// runShardsParallel executes the active shards on workers goroutines claiming
-// shards off a shared atomic cursor.
-func (c *Cluster) runShardsParallel(start time.Time, tel bool, deadline Time, workers int) error {
-	// The goroutines read the shard list through the receiver: capturing a
-	// local slice header would cost an extra heap move per window.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var attempts, hits uint64
-			for {
-				k := int(next.Add(1)) - 1
-				attempts++
-				if k >= len(c.active) {
-					break
-				}
-				hits++
-				i := c.active[k]
-				// Label the shard's execution so CPU profiles (-http
-				// /debug/pprof/profile) attribute samples per shard and
-				// worker. Parallel path only: pprof.Do allocates per call,
-				// which is noise next to a goroutine spawn but would break
-				// the serial window loop's 0 allocs/op.
-				pprof.Do(context.Background(),
-					pprof.Labels("cord_shard", c.shardLabels[i], "cord_worker", c.workerLabels[w]),
-					func(context.Context) {
-						var s0 time.Duration
-						var e0 uint64
-						if tel {
-							s0 = time.Since(start)
-							e0 = c.engines[i].executed
-						}
-						c.errs[i] = c.engines[i].RunUntil(deadline)
-						if tel {
-							d := time.Since(start)
-							c.rec.ShardStartNs[i] = s0.Nanoseconds()
-							c.rec.ShardBusyNs[i] = (d - s0).Nanoseconds()
-							c.rec.ShardEvents[i] = c.engines[i].executed - e0
-						}
-					})
-			}
-			if tel {
-				c.stealAttempts.Add(attempts)
-				c.stealHits.Add(hits)
-			}
-		}(w)
-	}
-	wg.Wait()
 	for _, i := range c.active {
-		if err := c.errs[i]; err != nil {
+		var s0 time.Duration
+		var e0 uint64
+		if tel {
+			s0 = time.Since(start)
+			e0 = c.engines[i].executed
+		}
+		if err := c.engines[i].RunUntil(deadline); err != nil {
 			return fmt.Errorf("sim: shard %d: %w", i, err)
 		}
+		if tel {
+			d := time.Since(start)
+			c.rec.ShardStartNs[i] = s0.Nanoseconds()
+			c.rec.ShardBusyNs[i] = (d - s0).Nanoseconds()
+			c.rec.ShardEvents[i] = c.engines[i].executed - e0
+		}
+	}
+	if tel {
+		c.rec.Anchor = anchor
+		c.rec.Deadline = deadline
+		c.rec.Active = len(c.active)
+		c.rec.WallNs = time.Since(start).Nanoseconds()
+		c.rec.FlushNs = c.flushNs
+		c.flushNs = 0
+		c.wobs.ObserveWindow(&c.rec)
 	}
 	return nil
-}
-
-// observeWindow finalizes and delivers the window's telemetry record. Runs
-// single-threaded after the barrier; a disabled hook returns immediately.
-func (c *Cluster) observeWindow(tel bool, start time.Time, anchor, deadline Time, workers int) {
-	if !tel {
-		return
-	}
-	c.rec.Anchor = anchor
-	c.rec.Deadline = deadline
-	c.rec.Workers = workers
-	c.rec.Active = len(c.active)
-	c.rec.WallNs = time.Since(start).Nanoseconds()
-	c.rec.FlushNs = c.flushNs
-	c.flushNs = 0
-	c.rec.StealAttempts = c.stealAttempts.Swap(0)
-	c.rec.StealHits = c.stealHits.Swap(0)
-	c.wobs.ObserveWindow(&c.rec)
 }

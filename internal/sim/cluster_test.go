@@ -1,19 +1,15 @@
 package sim
 
 import (
-	"strconv"
-	"sync"
-	"sync/atomic"
+	"strings"
 	"testing"
 )
 
 // chanExchanger is a minimal Exchanger for cluster tests: messages are
 // (time, destination shard, fn) triples buffered by the test and injected at
-// Flush. Shards post from parallel window workers, so post locks; the
-// tests' outcomes do not depend on injection order.
+// Flush. The tests' outcomes do not depend on injection order.
 type chanExchanger struct {
 	c    *Cluster
-	mu   sync.Mutex
 	msgs []xchMsg
 }
 
@@ -24,8 +20,6 @@ type xchMsg struct {
 }
 
 func (x *chanExchanger) post(at Time, dst int, fn func()) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	x.msgs = append(x.msgs, xchMsg{at: at, dst: dst, fn: fn})
 }
 
@@ -63,30 +57,28 @@ func TestClusterShardZeroMatchesPlainEngine(t *testing.T) {
 
 func TestClusterWindowedCompletion(t *testing.T) {
 	// A chain of cross-shard pings must complete even though each hop lands
-	// in a later window, and regardless of the worker count.
-	for _, workers := range []int{1, 2, 4, 8} {
-		const shards = 4
-		const window = Time(50)
-		c := NewCluster(7, shards, window)
-		ex := &chanExchanger{c: c}
-		var hops int
-		var send func(from int)
-		send = func(from int) {
-			if hops >= 40 {
-				return
-			}
-			hops++
-			dst := (from + 1) % shards
-			at := c.Engine(from).Now() + window // minimum legal cross-shard delay
-			ex.post(at, dst, func() { send(dst) })
+	// in a later window.
+	const shards = 4
+	const window = Time(50)
+	c := NewCluster(7, shards, window)
+	ex := &chanExchanger{c: c}
+	var hops int
+	var send func(from int)
+	send = func(from int) {
+		if hops >= 40 {
+			return
 		}
-		c.Engine(0).Schedule(1, func() { send(0) })
-		if err := c.Run(workers, ex); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if hops != 40 {
-			t.Fatalf("workers=%d: %d/40 hops delivered", workers, hops)
-		}
+		hops++
+		dst := (from + 1) % shards
+		at := c.Engine(from).Now() + window // minimum legal cross-shard delay
+		ex.post(at, dst, func() { send(dst) })
+	}
+	c.Engine(0).Schedule(1, func() { send(0) })
+	if err := c.Run(1, ex); err != nil {
+		t.Fatal(err)
+	}
+	if hops != 40 {
+		t.Fatalf("%d/40 hops delivered", hops)
 	}
 }
 
@@ -137,12 +129,15 @@ func TestClusterMaxEventsPropagates(t *testing.T) {
 	if err == nil {
 		t.Fatal("runaway shard did not trip the MaxEvents guard")
 	}
+	if !strings.HasPrefix(err.Error(), "sim: shard 1: ") {
+		t.Fatalf("error %q does not name the shard", err)
+	}
 }
 
 func TestClusterWorkerCountInvariance(t *testing.T) {
-	// Identical topology, seed, and cross-shard schedule must execute the
-	// same number of events and leave the same shard clocks for any worker
-	// count — the scheduler only parallelizes, never reorders.
+	// Run ignores its worker count (it stays only for perfbench's ladder):
+	// identical topology, seed, and cross-shard schedule must execute the
+	// same number of events and leave the same shard clocks for any value.
 	type outcome struct {
 		executed uint64
 		sum      uint64
@@ -151,20 +146,20 @@ func TestClusterWorkerCountInvariance(t *testing.T) {
 		const shards = 8
 		c := NewCluster(11, shards, Time(20))
 		ex := &chanExchanger{c: c}
-		var sum atomic.Uint64
+		var sum uint64
 		for s := 0; s < shards; s++ {
 			s := s
 			var tick func()
 			rounds := 0
 			tick = func() {
 				rounds++
-				sum.Add(uint64(c.Engine(s).Now()) * uint64(s+1))
+				sum += uint64(c.Engine(s).Now()) * uint64(s+1)
 				if rounds < 12 {
 					c.Engine(s).Schedule(Time(3+s%5), tick)
 					if rounds%3 == 0 {
 						dst := (s + 3) % shards
 						at := c.Engine(s).Now() + 20
-						ex.post(at, dst, func() { sum.Add(uint64(at)) })
+						ex.post(at, dst, func() { sum += uint64(at) })
 					}
 				}
 			}
@@ -173,12 +168,12 @@ func TestClusterWorkerCountInvariance(t *testing.T) {
 		if err := c.Run(workers, ex); err != nil {
 			t.Fatal(err)
 		}
-		return outcome{executed: c.Executed(), sum: sum.Load()}
+		return outcome{executed: c.Executed(), sum: sum}
 	}
 	want := run(1)
-	for _, w := range []int{2, 4, 8} {
+	for _, w := range []int{0, 2, 4, 8} {
 		if got := run(w); got != want {
-			t.Fatalf("workers=%d: outcome %+v != serial %+v", w, got, want)
+			t.Fatalf("workers=%d: outcome %+v != workers=1 %+v", w, got, want)
 		}
 	}
 }
@@ -198,99 +193,79 @@ func (w *windowCapture) ObserveWindow(r *WindowRecord) {
 }
 
 func TestClusterWindowObserver(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		const shards = 4
-		c := NewCluster(5, shards, Time(25))
-		cap := &windowCapture{}
-		c.SetWindowObserver(cap)
-		ex := &chanExchanger{c: c}
+	const shards = 4
+	c := NewCluster(5, shards, Time(25))
+	cap := &windowCapture{}
+	c.SetWindowObserver(cap)
+	ex := &chanExchanger{c: c}
+	for s := 0; s < shards; s++ {
+		s := s
+		rounds := 0
+		var tick func()
+		tick = func() {
+			rounds++
+			if rounds < 10 {
+				c.Engine(s).Schedule(Time(2+s), tick)
+				if rounds%4 == 0 {
+					dst := (s + 1) % shards
+					ex.post(c.Engine(s).Now()+25, dst, func() {})
+				}
+			}
+		}
+		c.Engine(s).Schedule(Time(1+s), tick)
+	}
+	if err := c.Run(1, ex); err != nil {
+		t.Fatal(err)
+	}
+	if len(cap.recs) == 0 {
+		t.Fatal("no windows observed")
+	}
+	var events uint64
+	for wi, r := range cap.recs {
+		if r.Deadline != r.Anchor+c.window-1 {
+			t.Fatalf("window %d: bounds [%d,%d] not one window wide", wi, r.Anchor, r.Deadline)
+		}
+		if r.Active < 1 || r.Active > shards {
+			t.Fatalf("window %d: active=%d", wi, r.Active)
+		}
+		active := 0
+		var lastEnd int64
 		for s := 0; s < shards; s++ {
-			s := s
-			rounds := 0
-			var tick func()
-			tick = func() {
-				rounds++
-				if rounds < 10 {
-					c.Engine(s).Schedule(Time(2+s), tick)
-					if rounds%4 == 0 {
-						dst := (s + 1) % shards
-						ex.post(c.Engine(s).Now()+25, dst, func() {})
-					}
+			if r.ShardStartNs[s] < 0 {
+				if r.ShardBusyNs[s] != 0 || r.ShardEvents[s] != 0 {
+					t.Fatalf("inactive shard %d has busy/events", s)
 				}
+				continue
 			}
-			c.Engine(s).Schedule(Time(1+s), tick)
-		}
-		if err := c.Run(workers, ex); err != nil {
-			t.Fatal(err)
-		}
-		if len(cap.recs) == 0 {
-			t.Fatalf("workers=%d: no windows observed", workers)
-		}
-		var events uint64
-		for wi, r := range cap.recs {
-			if r.Deadline != r.Anchor+c.window-1 {
-				t.Fatalf("workers=%d window %d: bounds [%d,%d] not one window wide",
-					workers, wi, r.Anchor, r.Deadline)
+			active++
+			events += r.ShardEvents[s]
+			// Shards run in order: each starts after the previous one ended,
+			// and start lag + busy fits inside the window wall, so the
+			// implied barrier wait is non-negative.
+			if r.ShardStartNs[s] < lastEnd {
+				t.Fatalf("window %d shard %d: started at %dns, before the previous shard ended at %dns",
+					wi, s, r.ShardStartNs[s], lastEnd)
 			}
-			if r.Active < 1 || r.Active > shards {
-				t.Fatalf("workers=%d window %d: active=%d", workers, wi, r.Active)
-			}
-			if r.Workers > r.Active {
-				t.Fatalf("workers=%d window %d: workers=%d > active=%d",
-					workers, wi, r.Workers, r.Active)
-			}
-			active := 0
-			for s := 0; s < shards; s++ {
-				if r.ShardStartNs[s] < 0 {
-					if r.ShardBusyNs[s] != 0 || r.ShardEvents[s] != 0 {
-						t.Fatalf("inactive shard %d has busy/events", s)
-					}
-					continue
-				}
-				active++
-				events += r.ShardEvents[s]
-				// Tiling: start lag + busy must fit inside the window wall, so
-				// the implied barrier wait is non-negative.
-				if spent := r.ShardStartNs[s] + r.ShardBusyNs[s]; spent > r.WallNs {
-					t.Fatalf("workers=%d window %d shard %d: start+busy %dns > wall %dns",
-						workers, wi, s, spent, r.WallNs)
-				}
-			}
-			if active != r.Active {
-				t.Fatalf("workers=%d window %d: %d shards reported, Active=%d",
-					workers, wi, active, r.Active)
-			}
-			if workers == 1 && (r.StealAttempts != 0 || r.StealHits != 0) {
-				t.Fatalf("serial window reported steals: %d/%d", r.StealHits, r.StealAttempts)
-			}
-			if workers > 1 && uint64(r.Active) != r.StealHits {
-				t.Fatalf("workers=%d window %d: %d steal hits for %d active shards",
-					workers, wi, r.StealHits, r.Active)
+			lastEnd = r.ShardStartNs[s] + r.ShardBusyNs[s]
+			if lastEnd > r.WallNs {
+				t.Fatalf("window %d shard %d: start+busy %dns > wall %dns", wi, s, lastEnd, r.WallNs)
 			}
 		}
-		if events != c.Executed() {
-			t.Fatalf("workers=%d: observed %d events, cluster executed %d",
-				workers, events, c.Executed())
+		if active != r.Active {
+			t.Fatalf("window %d: %d shards reported, Active=%d", wi, active, r.Active)
 		}
+	}
+	if events != c.Executed() {
+		t.Fatalf("observed %d events, cluster executed %d", events, c.Executed())
 	}
 }
 
-// BenchmarkClusterWindowSerial measures the sharded scheduler's overhead at
-// one worker: the same churn as BenchmarkEngineChurn, split over 8 shards
-// with no cross-shard traffic, so the delta to the plain engine is pure
-// window bookkeeping.
+// BenchmarkClusterWindowSerial measures the sharded scheduler's overhead:
+// the same churn as BenchmarkEngineChurn, split over 8 shards with no
+// cross-shard traffic, so the delta to the plain engine is pure window
+// bookkeeping. (The name predates the removal of the parallel variant and
+// stays so benchstat can compare across that change.)
 func BenchmarkClusterWindowSerial(b *testing.B) {
-	benchCluster(b, 1)
-}
-
-// BenchmarkClusterWindowParallel is the same at 8 workers. On a single-core
-// machine this measures goroutine hand-off overhead, not speedup; see
-// BENCH_kernel.json's parallel rows (recorded with num_cpu) for throughput.
-func BenchmarkClusterWindowParallel(b *testing.B) {
-	benchCluster(b, 8)
-}
-
-func benchCluster(b *testing.B, workers int) {
 	const shards = 8
 	c := NewCluster(1, shards, Time(300))
 	lcg := uint64(0x9E3779B97F4A7C15)
@@ -321,7 +296,7 @@ func benchCluster(b *testing.B, workers int) {
 			if !ok {
 				b.Fatal("cluster drained")
 			}
-			if err := c.runWindow(t, t+c.window-1, workers); err != nil {
+			if err := c.runWindow(t, t+c.window-1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -329,38 +304,4 @@ func benchCluster(b *testing.B, workers int) {
 	b.StopTimer()
 	stop = true
 	_ = c.Run(1, nil)
-}
-
-// TestClusterLabelsCompleteBeforeParallelWindow: the parallel window's
-// workers read the pprof label caches concurrently, so both caches must be
-// complete — one label per shard, and one per worker a window can run —
-// before the first window starts. Filling them lazily from inside the
-// workers is a data race.
-func TestClusterLabelsCompleteBeforeParallelWindow(t *testing.T) {
-	const shards = 4
-	c := NewCluster(1, shards, 10)
-	check := func(when string) {
-		t.Helper()
-		if len(c.shardLabels) != shards || len(c.workerLabels) < shards {
-			t.Fatalf("%s: %d shard labels and %d worker labels, want %d of each",
-				when, len(c.shardLabels), len(c.workerLabels), shards)
-		}
-		for i := 0; i < shards; i++ {
-			if want := strconv.Itoa(i); c.shardLabels[i] != want || c.workerLabels[i] != want {
-				t.Fatalf("%s: label %d = %q/%q, want %q", when, i, c.shardLabels[i], c.workerLabels[i], want)
-			}
-		}
-	}
-	check("before Run")
-	var ran atomic.Int32
-	for _, e := range c.Engines() {
-		e.Schedule(0, func() { ran.Add(1) })
-	}
-	if err := c.Run(shards, nil); err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != shards {
-		t.Fatalf("%d of %d shard events ran", ran.Load(), shards)
-	}
-	check("after a parallel window")
 }

@@ -40,7 +40,7 @@ func netConfig(t testing.TB, hosts int) noc.Config {
 
 // runService builds a fresh service and executes it to completion, returning
 // the service (for stats) — rec may be nil.
-func runService(t testing.TB, cfg kvsvc.Config, hosts, workers int, b proto.Builder, rec *obs.Recorder) *kvsvc.Service {
+func runService(t testing.TB, cfg kvsvc.Config, hosts int, b proto.Builder, rec *obs.Recorder) *kvsvc.Service {
 	t.Helper()
 	nc := netConfig(t, hosts)
 	svc, err := cfg.Build(nc)
@@ -48,12 +48,11 @@ func runService(t testing.TB, cfg kvsvc.Config, hosts, workers int, b proto.Buil
 		t.Fatal(err)
 	}
 	sys := proto.NewSystem(42, nc, proto.RC)
-	sys.Workers = workers
 	if rec != nil {
 		sys.Observe(rec)
 	}
 	if _, err := proto.ExecSources(sys, b, svc.Cores(), svc.Sources()); err != nil {
-		t.Fatalf("%s hosts=%d workers=%d: %v", b.Name(), hosts, workers, err)
+		t.Fatalf("%s hosts=%d: %v", b.Name(), hosts, err)
 	}
 	return svc
 }
@@ -75,7 +74,7 @@ func TestKVServiceCompletesAllProtocols(t *testing.T) {
 		b := b
 		t.Run(b.Name(), func(t *testing.T) {
 			cfg := testConfig()
-			svc := runService(t, cfg, 2, 1, b, nil)
+			svc := runService(t, cfg, 2, b, nil)
 			st := svc.Stats()
 			total, puts := expectedRequests(cfg, len(svc.Cores()))
 			if st.Total() != total {
@@ -99,7 +98,7 @@ func TestKVServiceGetHeavyAndPutHeavy(t *testing.T) {
 	for _, pct := range []int{0, 90} {
 		cfg := testConfig()
 		cfg.GetPct = pct
-		svc := runService(t, cfg, 2, 1, cord.New(), nil)
+		svc := runService(t, cfg, 2, cord.New(), nil)
 		total, puts := expectedRequests(cfg, len(svc.Cores()))
 		st := svc.Stats()
 		if st.Total() != total || st.Completed[obs.ReqPut] != puts {
@@ -115,7 +114,7 @@ func TestKVServiceOpenLoopCompletes(t *testing.T) {
 	cfg := testConfig()
 	cfg.OpenLoop = true
 	cfg.ArrivalCycles = 300
-	svc := runService(t, cfg, 2, 1, cord.New(), nil)
+	svc := runService(t, cfg, 2, cord.New(), nil)
 	total, _ := expectedRequests(cfg, len(svc.Cores()))
 	if st := svc.Stats(); st.Total() != total {
 		t.Fatalf("open loop completed %d requests, want %d", st.Total(), total)
@@ -125,10 +124,10 @@ func TestKVServiceOpenLoopCompletes(t *testing.T) {
 // artifacts renders everything a KV run externalizes: the JSONL event stream
 // (KReqDone included), the metrics JSON (request latency rows included), and
 // a service-stats summary.
-func artifacts(t *testing.T, hosts, workers int) []byte {
+func artifacts(t *testing.T, hosts int) []byte {
 	t.Helper()
 	rec := obs.New()
-	svc := runService(t, testConfig(), hosts, workers, cord.New(), rec)
+	svc := runService(t, testConfig(), hosts, cord.New(), rec)
 	var buf bytes.Buffer
 	if err := obs.WriteJSONL(&buf, rec.Events()); err != nil {
 		t.Fatal(err)
@@ -149,32 +148,19 @@ func artifacts(t *testing.T, hosts, workers int) []byte {
 }
 
 // TestKVServiceByteIdentity is the closed-loop analogue of the root
-// worker-count battery: because sources draw randomness only at points fixed
+// double-run battery: because sources draw randomness only at points fixed
 // by their core's own pull sequence, the full exported artifacts must be
-// byte-identical across sim-worker counts and across double runs.
+// byte-identical across double runs.
 func TestKVServiceByteIdentity(t *testing.T) {
 	for _, hosts := range []int{2, 8} {
 		hosts := hosts
 		t.Run(fmt.Sprintf("hosts=%d", hosts), func(t *testing.T) {
-			base := artifacts(t, hosts, 1)
+			base := artifacts(t, hosts)
 			if len(base) == 0 {
-				t.Fatal("serial run produced no artifacts — the battery is vacuous")
+				t.Fatal("run produced no artifacts — the battery is vacuous")
 			}
-			if again := artifacts(t, hosts, 1); !bytes.Equal(base, again) {
-				t.Fatal("double serial runs diverge")
-			}
-			for _, workers := range []int{4, 8} {
-				got := artifacts(t, hosts, workers)
-				if !bytes.Equal(base, got) {
-					i := 0
-					for i < len(base) && i < len(got) && base[i] == got[i] {
-						i++
-					}
-					t.Fatalf("workers=%d diverges from serial at byte %d", workers, i)
-				}
-				if again := artifacts(t, hosts, workers); !bytes.Equal(got, again) {
-					t.Fatalf("workers=%d double runs diverge", workers)
-				}
+			if again := artifacts(t, hosts); !bytes.Equal(base, again) {
+				t.Fatal("double runs diverge")
 			}
 		})
 	}
@@ -224,7 +210,7 @@ func TestKVServiceSourceZeroAlloc(t *testing.T) {
 
 // benchKVService executes full service runs and reports service-level rates:
 // simulated requests per wall-clock second and heap allocations per request.
-func benchKVService(b *testing.B, builder func() proto.Builder, hosts, workers int) {
+func benchKVService(b *testing.B, builder func() proto.Builder, hosts int) {
 	cfg := kvsvc.Default()
 	nc := netConfig(b, hosts)
 	b.ReportAllocs()
@@ -238,7 +224,6 @@ func benchKVService(b *testing.B, builder func() proto.Builder, hosts, workers i
 			b.Fatal(err)
 		}
 		sys := proto.NewSystem(42, nc, proto.RC)
-		sys.Workers = workers
 		if _, err := proto.ExecSources(sys, builder(), svc.Cores(), svc.Sources()); err != nil {
 			b.Fatal(err)
 		}
@@ -252,11 +237,8 @@ func benchKVService(b *testing.B, builder func() proto.Builder, hosts, workers i
 }
 
 func BenchmarkKVServiceCORD(b *testing.B) {
-	benchKVService(b, func() proto.Builder { return cord.New() }, 2, 1)
+	benchKVService(b, func() proto.Builder { return cord.New() }, 2)
 }
 func BenchmarkKVServiceSO(b *testing.B) {
-	benchKVService(b, func() proto.Builder { return so.New() }, 2, 1)
-}
-func BenchmarkKVServiceParallel(b *testing.B) {
-	benchKVService(b, func() proto.Builder { return cord.New() }, 8, 4)
+	benchKVService(b, func() proto.Builder { return so.New() }, 2)
 }

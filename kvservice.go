@@ -91,7 +91,6 @@ func simulateKV(w KVService, p Protocol, s System, rec *obs.Recorder, col *rt.Co
 		return nil, err
 	}
 	sys := proto.NewSystem(s.Seed, nc, s.mode())
-	sys.Workers = s.SimWorkers
 	if rec != nil {
 		sys.Observe(rec)
 	}
@@ -106,7 +105,7 @@ func simulateKV(w KVService, p Protocol, s System, rec *obs.Recorder, col *rt.Co
 }
 
 // SimulateKV runs the KV service under a protocol on a system. Deterministic
-// for a fixed System.Seed and KVService.Seed, independent of SimWorkers.
+// for a fixed System.Seed and KVService.Seed.
 func SimulateKV(w KVService, p Protocol, s System) (*KVResult, error) {
 	return simulateKV(w, p, s, nil, nil)
 }

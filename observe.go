@@ -22,10 +22,9 @@ type TraceOptions struct {
 	// way so /metrics can scrape a run in flight.
 	Recorder *obs.Recorder
 	// Runtime, when non-nil, collects simulator-runtime telemetry (per-shard
-	// window timings, steal counters, cross-host merge census) for
-	// partitioned multi-host runs. It rides a channel of its own: attaching
-	// it never changes the deterministic trace/metrics/stats bytes. Ignored
-	// on single-host systems, which have no parallel runtime to observe.
+	// window timings, cross-host merge census). It rides a channel of its
+	// own: attaching it never changes the deterministic trace/metrics/stats
+	// bytes.
 	Runtime *rt.Collector
 }
 
@@ -37,10 +36,10 @@ type TraceOptions struct {
 // window.
 func NewRuntimeCollector() *rt.Collector { return rt.NewCollector(0) }
 
-// AnalyzeRuntime computes the parallel-efficiency breakdown of a runtime
-// report (a Collector.Snapshot): efficiency, lost-capacity attribution
-// across barrier imbalance / steal lag / cross-host merge, and a per-bucket
-// timeline — the same analysis `cordtrace scaling` renders.
+// AnalyzeRuntime computes the overhead breakdown of a runtime report (a
+// Collector.Snapshot): the share of elapsed simulator time spent executing
+// events, the shares lost to window bookkeeping and the cross-host merge, and
+// a per-bucket timeline — the same analysis `cordtrace scaling` renders.
 func AnalyzeRuntime(rep *rt.Report) rt.Scaling { return rt.Analyze(rep) }
 
 // WriteRuntimeScaling renders a report's scaling analysis as the
@@ -116,7 +115,6 @@ func SimulateObserved(w Workload, p Protocol, s System, opt TraceOptions) (*Resu
 		rec.SetSample(opt.Sample)
 	}
 	sys := proto.NewSystem(s.Seed, nc, s.mode())
-	sys.Workers = s.SimWorkers
 	sys.Observe(rec)
 	if opt.Runtime != nil {
 		sys.AttachRuntime(opt.Runtime)
