@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -35,5 +36,25 @@ func TestNegativeSizeExitsTwo(t *testing.T) {
 		if !strings.Contains(string(out), tc.msg) {
 			t.Errorf("cordsim %s: output lacks %q:\n%s", tc.args, tc.msg, out)
 		}
+	}
+}
+
+// TestOversizedTraceStoreFails replays a trace whose store size does not fit
+// a store: cordsim must exit 1 with the parse error, not panic in the
+// network.
+func TestOversizedTraceStoreFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "big.trace")
+	if err := os.WriteFile(path, []byte("cordtrace 1\ncore 0 0\nw 10000000000 9223372036854775800 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeSizeExitsTwo$")
+	cmd.Env = append(os.Environ(), "CORDSIM_TEST_ARGS=-from-trace "+path)
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Fatalf("err %v, want exit status 1; output:\n%s", err, out)
+	}
+	if strings.Contains(string(out), "panic") || !strings.Contains(string(out), "bad store fields") {
+		t.Fatalf("output lacks the parse error, or panicked:\n%s", out)
 	}
 }

@@ -240,12 +240,12 @@ func Simulate(w Workload, p Protocol, s System) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cores, progs, err := w.Programs(nc)
+	cores, srcs, err := w.Sources(nc)
 	if err != nil {
 		return nil, err
 	}
 	sys := proto.NewSystem(s.Seed, nc, s.mode())
-	run, err := proto.Exec(sys, b, cores, progs)
+	run, err := proto.ExecSources(sys, b, cores, srcs)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package cord
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -323,6 +324,18 @@ func TestSimulateProgramValidation(t *testing.T) {
 	bad := map[CoreRef]Program{{Host: 99, Core: 0}: {ComputeOp(1)}}
 	if _, err := SimulateProgram(bad, CORD, fastSystem()); err == nil {
 		t.Fatal("out-of-range core accepted")
+	}
+	// A store size an int32 would wrap (1<<32 + 64 to 64), or one that
+	// overflows the wire size, is an error under every protocol, not a
+	// 64-byte store or a panic.
+	a := ComposeAddr(1, 0, 0)
+	for _, size := range []int{1<<32 + 64, math.MaxInt - 8} {
+		for _, p := range Protocols() {
+			progs := map[CoreRef]Program{{Host: 0, Core: 0}: {StoreRelaxed(a, size), StoreRelease(a+64, 8, 1)}}
+			if _, err := SimulateProgram(progs, p, fastSystem()); err == nil || !strings.Contains(err.Error(), "stores more than") {
+				t.Errorf("%s, size %d: err %v, want the store-size bound", p, size, err)
+			}
+		}
 	}
 }
 

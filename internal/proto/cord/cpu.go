@@ -155,8 +155,8 @@ func (c *cpu) execRelaxed(op proto.Op) {
 	}
 	c.wcAddr, c.wcValid = op.Addr, true
 	c.send(core.Msg{Kind: core.MRelaxed, Src: c.Ix, Dir: d, Ep: ep,
-		Addr: uint64(op.Addr), Val: op.Value, Size: op.Size},
-		stats.ClassRelaxedData, proto.HeaderBytes+op.Size+c.cfg.RelaxedOverhead())
+		Addr: uint64(op.Addr), Val: op.Value, Size: int(op.Size)},
+		stats.ClassRelaxedData, proto.HeaderBytes+int(op.Size)+c.cfg.RelaxedOverhead())
 	c.Retire()
 }
 
@@ -255,14 +255,14 @@ func (c *cpu) issueRelease(op proto.Op, d int) {
 	ep := c.st.Ep
 	live := c.st.CntLive
 	rel := core.Msg{Src: c.Ix, Addr: uint64(op.Addr), Val: op.Value,
-		Size: op.Size, Barrier: op.Size == 0, Atomic: op.Kind == proto.OpAtomic}
+		Size: int(op.Size), Barrier: op.Size == 0, Atomic: op.Kind == proto.OpAtomic}
 	msgs := c.st.IssueRelease(d, rel, c.buf[:0])
 	for _, m := range msgs {
 		if m.Kind == core.MReqNotify {
 			c.send(m, stats.ClassReqNotify, proto.ReqNotifyBytes)
 			continue
 		}
-		c.send(m, stats.ClassReleaseData, proto.HeaderBytes+op.Size+c.cfg.ReleaseOverhead())
+		c.send(m, stats.ClassReleaseData, proto.HeaderBytes+int(op.Size)+c.cfg.ReleaseOverhead())
 	}
 	c.buf = msgs
 	c.occUnacked.Inc()
@@ -312,8 +312,8 @@ func (c *cpu) execAtomic(op proto.Op) {
 	c.atomicWait = true
 	c.Await(c.atomicBusy, stats.StallAcquire)
 	c.send(core.Msg{Kind: core.MRelaxed, Src: c.Ix, Dir: d, Ep: ep,
-		Addr: uint64(op.Addr), Val: op.Value, Size: op.Size, Atomic: true, Tag: c.atomicTag},
-		stats.ClassAtomic, proto.HeaderBytes+op.Size+c.cfg.RelaxedOverhead())
+		Addr: uint64(op.Addr), Val: op.Value, Size: int(op.Size), Atomic: true, Tag: c.atomicTag},
+		stats.ClassAtomic, proto.HeaderBytes+int(op.Size)+c.cfg.RelaxedOverhead())
 }
 
 func (c *cpu) onAtomicResp(m *core.Msg) {
@@ -358,8 +358,8 @@ func (c *cpu) sendWB(op proto.Op) {
 	c.wbPending++
 	c.wcValid = false
 	c.send(core.Msg{Kind: core.MWBData, Src: c.Ix, Dir: c.Sys.Index(c.Sys.Map.HomeOf(op.Addr)),
-		Addr: uint64(op.Addr), Val: op.Value, Size: op.Size, Tag: c.wbNextTag},
-		stats.ClassWriteback, proto.HeaderBytes+op.Size)
+		Addr: uint64(op.Addr), Val: op.Value, Size: int(op.Size), Tag: c.wbNextTag},
+		stats.ClassWriteback, proto.HeaderBytes+int(op.Size))
 }
 
 func (c *cpu) onWBAck() {

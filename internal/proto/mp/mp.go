@@ -217,9 +217,9 @@ func (c *cpu) exec(op proto.Op) {
 // host's FIFO ordering domain.
 func (c *cpu) post(op proto.Op, class stats.MsgClass, atomic bool, tag uint64) {
 	home := c.Sys.Map.HomeOf(op.Addr)
-	c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+op.Size, c.Sys.NewMsg(core.Msg{
+	c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+int(op.Size), c.Sys.NewMsg(core.Msg{
 		Kind: core.MMPStore, Src: c.Ix, Dir: c.Sys.Index(home), Seq: c.st.NextSeq(home.Host),
-		Addr: uint64(op.Addr), Val: op.Value, Size: op.Size, Atomic: atomic, Tag: tag,
+		Addr: uint64(op.Addr), Val: op.Value, Size: int(op.Size), Atomic: atomic, Tag: tag,
 	}))
 }
 

@@ -17,8 +17,8 @@ import (
 )
 
 // Ordering annotates a memory operation with its release-consistency label
-// (§2.2 of the paper).
-type Ordering int
+// (§2.2 of the paper). It is one byte so that Op packs to 32 bytes.
+type Ordering uint8
 
 const (
 	// Relaxed operations carry no ordering constraints.
@@ -45,8 +45,8 @@ func (o Ordering) String() string {
 	return fmt.Sprintf("ord(%d)", int(o))
 }
 
-// OpKind is the kind of a program operation.
-type OpKind int
+// OpKind is the kind of a program operation (one byte, like Ordering).
+type OpKind uint8
 
 const (
 	// OpCompute models local computation for a fixed cycle count.
@@ -84,14 +84,35 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("op(%d)", int(k))
 }
 
-// Op is a single operation in a core's program.
+// Op is a single operation in a core's program. It is 32 bytes: the three
+// 8-byte fields first, then Size and the two one-byte fields, so a Table 2
+// program of millions of ops stays small (TestOpPacked).
 type Op struct {
-	Kind   OpKind
-	Ord    Ordering
 	Addr   memsys.Addr
-	Size   int      // payload bytes for stores
 	Cycles sim.Time // OpCompute duration
 	Value  uint64   // store value, or acquire wait threshold
+	Size   int32    // payload bytes for stores, at most MaxStoreBytes
+	Kind   OpKind
+	Ord    Ordering
+}
+
+// MaxStoreBytes bounds a store's payload, and Validate rejects larger
+// stores. Every generator emits at most 4096 B; the bound leaves Size's
+// int32 room for HeaderBytes and the protocols' per-message overheads, so a
+// wire size never wraps.
+const MaxStoreBytes = 1 << 20
+
+// opSize converts a constructor's size to Op.Size. A size outside
+// [0, MaxStoreBytes] saturates just past that range instead of wrapping, so
+// Validate still rejects it.
+func opSize(size int) int32 {
+	switch {
+	case size > MaxStoreBytes:
+		return MaxStoreBytes + 1
+	case size < 0:
+		return -1
+	}
+	return int32(size)
 }
 
 func (o Op) String() string {
@@ -117,22 +138,22 @@ func Compute(cycles sim.Time) Op { return Op{Kind: OpCompute, Cycles: cycles} }
 
 // StoreRelaxed returns a Relaxed write-through store.
 func StoreRelaxed(a memsys.Addr, size int) Op {
-	return Op{Kind: OpStoreWT, Ord: Relaxed, Addr: a, Size: size}
+	return Op{Kind: OpStoreWT, Ord: Relaxed, Addr: a, Size: opSize(size)}
 }
 
 // StoreRelease returns a Release write-through store of value v.
 func StoreRelease(a memsys.Addr, size int, v uint64) Op {
-	return Op{Kind: OpStoreWT, Ord: Release, Addr: a, Size: size, Value: v}
+	return Op{Kind: OpStoreWT, Ord: Release, Addr: a, Size: opSize(size), Value: v}
 }
 
 // StoreWBRelaxed returns a Relaxed write-back store.
 func StoreWBRelaxed(a memsys.Addr, size int) Op {
-	return Op{Kind: OpStoreWB, Ord: Relaxed, Addr: a, Size: size}
+	return Op{Kind: OpStoreWB, Ord: Relaxed, Addr: a, Size: opSize(size)}
 }
 
 // StoreWBRelease returns a Release write-back store of value v.
 func StoreWBRelease(a memsys.Addr, size int, v uint64) Op {
-	return Op{Kind: OpStoreWB, Ord: Release, Addr: a, Size: size, Value: v}
+	return Op{Kind: OpStoreWB, Ord: Release, Addr: a, Size: opSize(size), Value: v}
 }
 
 // AcquireLoad returns an acquire load that waits for *a >= want.
@@ -164,14 +185,17 @@ func (p Program) Stores() (relaxed, release int) {
 	return
 }
 
-// Validate reports structural problems in a program: zero-size stores,
-// acquire without an address, etc.
+// Validate reports structural problems in a program: stores of a
+// non-positive size or larger than MaxStoreBytes, acquires of 0, etc.
 func (p Program) Validate() error {
 	for i, op := range p {
 		switch op.Kind {
 		case OpStoreWT, OpStoreWB:
 			if op.Size <= 0 {
 				return fmt.Errorf("proto: op %d (%v) has non-positive size", i, op)
+			}
+			if op.Size > MaxStoreBytes {
+				return fmt.Errorf("proto: op %d (%v) stores more than %d bytes", i, op, MaxStoreBytes)
 			}
 			if op.Ord != Relaxed && op.Ord != Release {
 				return fmt.Errorf("proto: op %d (%v) has invalid store ordering", i, op)

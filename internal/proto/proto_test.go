@@ -1,8 +1,11 @@
 package proto
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cord/internal/memsys"
 	"cord/internal/noc"
@@ -48,7 +51,7 @@ func (nullProto) Build(sys *System, cores []noc.NodeID) []CPU {
 			switch op.Kind {
 			case OpStoreWT, OpStoreWB:
 				home := sys.Map.HomeOf(op.Addr)
-				sys.Net.Send(c.ID, home, stats.ClassRelaxedData, HeaderBytes+op.Size,
+				sys.Net.Send(c.ID, home, stats.ClassRelaxedData, HeaderBytes+int(op.Size),
 					&core.Msg{Kind: core.MRelaxed, Addr: uint64(op.Addr), Val: op.Value})
 				c.Retire()
 			case OpBarrier:
@@ -95,6 +98,7 @@ func TestValidateRejectsBadOps(t *testing.T) {
 	a := memsys.Compose(0, 0, 0)
 	cases := []Program{
 		{Op{Kind: OpStoreWT, Ord: Relaxed, Addr: a, Size: 0}},
+		{Op{Kind: OpStoreWT, Ord: Relaxed, Addr: a, Size: MaxStoreBytes + 1}},
 		{Op{Kind: OpStoreWT, Ord: Acquire, Addr: a, Size: 8}},
 		{AcquireLoad(a, 0)},
 		{Op{Kind: OpKind(99)}},
@@ -102,6 +106,44 @@ func TestValidateRejectsBadOps(t *testing.T) {
 	for i, p := range cases {
 		if p.Validate() == nil {
 			t.Errorf("case %d: Validate accepted bad program", i)
+		}
+	}
+}
+
+// TestOpPacked holds the in-memory layout of Op to 32 bytes: a Table 2
+// program materializes millions of ops (PR has 1.97 M), and a 48-byte layout
+// makes it half again as large. Keep the 8-byte fields first and Size, Kind
+// and Ord in the last word.
+func TestOpPacked(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n > 32 {
+		t.Fatalf("proto.Op is %d bytes, want <= 32: keep the 8-byte fields first and Size, Kind and Ord last", n)
+	}
+}
+
+// TestStoreSizeBound: a store size past MaxStoreBytes, or one that would wrap
+// in Op's int32, reaches Validate as an error from every constructor, and
+// the bound leaves room for a message's header and overheads in an int32.
+func TestStoreSizeBound(t *testing.T) {
+	if MaxStoreBytes+HeaderBytes+1024 > math.MaxInt32 {
+		t.Fatalf("MaxStoreBytes %d leaves no room for wire overheads in an int32", MaxStoreBytes)
+	}
+	a := memsys.Compose(0, 0, 0)
+	if err := (Program{StoreRelaxed(a, MaxStoreBytes)}).Validate(); err != nil {
+		t.Fatalf("a store of MaxStoreBytes rejected: %v", err)
+	}
+	for _, size := range []int{MaxStoreBytes + 1, 1<<32 + 64, 1 << 62, -(1 << 32) + 64, -1} {
+		for _, op := range []Op{
+			StoreRelaxed(a, size), StoreRelease(a, size, 1),
+			StoreWBRelaxed(a, size), StoreWBRelease(a, size, 1),
+		} {
+			err := Program{op}.Validate()
+			if err == nil {
+				t.Errorf("size %d: %v accepted (Size %d)", size, op, op.Size)
+				continue
+			}
+			if size > 0 && !strings.Contains(err.Error(), "more than") {
+				t.Errorf("size %d: error %q does not name the bound", size, err)
+			}
 		}
 	}
 }

@@ -187,9 +187,9 @@ func (c *cpu) send(op proto.Op, release, atomic bool) {
 		c.relTag, c.relAt = c.nextTag, c.Now()
 	}
 	home := c.Sys.Map.HomeOf(op.Addr)
-	c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+op.Size, c.Sys.NewMsg(core.Msg{
+	c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+int(op.Size), c.Sys.NewMsg(core.Msg{
 		Kind: core.MSOStore, Src: c.Ix, Dir: c.Sys.Index(home), Addr: uint64(op.Addr),
-		Val: op.Value, Size: op.Size, Release: release, Atomic: atomic, Tag: c.nextTag,
+		Val: op.Value, Size: int(op.Size), Release: release, Atomic: atomic, Tag: c.nextTag,
 	}))
 }
 

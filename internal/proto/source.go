@@ -27,7 +27,8 @@ import (
 //
 // The zero-allocation expectation of the hot path extends to sources: Next is
 // called once per op, so a steady-state Next should not allocate (see the
-// AllocsPerRun guards in source_test.go).
+// AllocsPerRun guards in source_test.go, and workload's and kvsvc's for
+// their sources).
 type OpSource interface {
 	Next(now sim.Time) (op Op, ok bool)
 }

@@ -117,9 +117,9 @@ func (c *cpu) handle(_ noc.NodeID, payload any) {
 // sendFlag writes a flag store or far atomic through to its home directory.
 func (c *cpu) sendFlag(op proto.Op, class stats.MsgClass, atomic bool, tag uint64) {
 	home := c.Sys.Map.HomeOf(op.Addr)
-	c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+op.Size,
+	c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+int(op.Size),
 		c.Sys.NewMsg(core.Msg{Kind: core.MWBFlag, Src: c.Ix, Dir: c.Sys.Index(home),
-			Addr: uint64(op.Addr), Val: op.Value, Size: op.Size, Atomic: atomic, Tag: tag}))
+			Addr: uint64(op.Addr), Val: op.Value, Size: int(op.Size), Atomic: atomic, Tag: tag}))
 }
 
 func (c *cpu) exec(op proto.Op) {

@@ -34,6 +34,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("cordtrace 1\ncore -1 0\n")
 	f.Add("cordtrace 1\ncore 0 0\nf maybe\n")
 	f.Add("cordtrace 1\ncore 0 0\nw zz 8 1\n")
+	f.Add("cordtrace 1\ncore 0 0\nw 10000000000 9223372036854775800 1\n") // size past int32
+	f.Add("cordtrace 1\ncore 0 0\nw 40001000 4294967360 1\n")             // would wrap to 64
 
 	f.Fuzz(func(t *testing.T, input string) {
 		t1, err := Read(strings.NewReader(input))

@@ -182,12 +182,12 @@ func parseOp(f []string) (proto.Op, error) {
 			return bad("store needs addr size value")
 		}
 		addr, err1 := strconv.ParseUint(f[1], 16, 64)
-		size, err2 := strconv.Atoi(f[2])
+		size, err2 := strconv.ParseInt(f[2], 10, 32)
 		val, err3 := strconv.ParseUint(f[3], 10, 64)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return bad("bad store fields")
 		}
-		op := proto.Op{Addr: memsys.Addr(addr), Size: size, Value: val}
+		op := proto.Op{Addr: memsys.Addr(addr), Size: int32(size), Value: val}
 		switch f[0] {
 		case "w":
 			op.Kind, op.Ord = proto.OpStoreWT, proto.Relaxed

@@ -72,6 +72,12 @@ func TestReadRejectsGarbage(t *testing.T) {
 		"cordtrace 1\ncore 0 0\nf weird\n",   // bad barrier
 		"cordtrace 1\ncore 0 0\nw 0 0 1\n",   // zero-size store fails Validate
 		"cordtrace 1\ncore 0\n",              // short core line
+		// Store sizes past an int32 (the second would wrap to 64) or past
+		// proto.MaxStoreBytes.
+		"cordtrace 1\ncore 0 0\nw 10000000000 9223372036854775800 1\n",
+		"cordtrace 1\ncore 0 0\nw 0 4294967360 1\n",
+		"cordtrace 1\ncore 0 0\nw 0 -4294967232 1\n",
+		"cordtrace 1\ncore 0 0\nw 0 2000000 1\n",
 	}
 	for i, c := range cases {
 		if _, err := Read(strings.NewReader(c)); err == nil {

@@ -150,15 +150,9 @@ func (p Pattern) syncSize(rng *rand.Rand) int {
 // region, honoring the spatial (LineUtil) and temporal (Rewrite) locality
 // parameters. Values carry the round number so consumers (and tests) can
 // verify ordering.
-func (p Pattern) writeData(prog proto.Program, region memsys.Addr, size int, value uint64) proto.Program {
-	uniq := size / p.RelaxedBytes
-	if uniq < 1 {
-		uniq = 1
-	}
-	perLine := p.LineUtil / p.RelaxedBytes
-	if perLine < 1 {
-		perLine = 1
-	}
+func (p *Pattern) writeData(prog proto.Program, region memsys.Addr, size int, value uint64) proto.Program {
+	uniq := max(size/p.RelaxedBytes, 1)
+	perLine := max(p.LineUtil/p.RelaxedBytes, 1)
 	if p.RelaxedBytes >= memsys.LineBytes {
 		perLine = 1
 	}
@@ -173,32 +167,40 @@ func (p Pattern) writeData(prog proto.Program, region memsys.Addr, size int, val
 		}
 		return region + memsys.Addr(off)
 	}
-	emit := func(i int) {
-		prog = append(prog, proto.Op{
-			Kind: proto.OpStoreWT, Ord: proto.Relaxed,
-			Addr: addrOf(i), Size: p.RelaxedBytes, Value: value,
-		})
-	}
+	// Validate bounds RelaxedBytes to 4096, so the int32 holds it.
+	store := proto.Op{Kind: proto.OpStoreWT, Ord: proto.Relaxed, Size: int32(p.RelaxedBytes), Value: value}
 	if p.RewriteInterleaved {
 		for w := 0; w < p.Rewrite; w++ {
 			for i := 0; i < uniq; i++ {
-				emit(i)
+				store.Addr = addrOf(i)
+				prog = append(prog, store)
 			}
 		}
 	} else {
 		for i := 0; i < uniq; i++ {
+			store.Addr = addrOf(i)
 			for w := 0; w < p.Rewrite; w++ {
-				emit(i)
+				prog = append(prog, store)
 			}
 		}
 	}
 	return prog
 }
 
-// Programs builds the per-core programs for the given interconnect shape.
-// Rank (h, k) runs on core k of host h and communicates with slot k of
-// hosts (h+1)%Hosts .. (h+Fanout)%Hosts.
-func (p Pattern) Programs(nc noc.Config) ([]noc.NodeID, []proto.Program, error) {
+// rankGen generates one rank's program a round at a time: Programs appends
+// every round into one slice, and Sources streams them (rankSource). Each
+// generator owns its Pattern copy and its rng, so no two ranks share mutable
+// state.
+type rankGen struct {
+	p                         Pattern
+	r, host, slot, rph, tiles int
+	rng                       *rand.Rand
+}
+
+// rankGens validates p against nc and returns every rank's core and
+// generator. Rank (h, k) runs on core k of host h and communicates with slot
+// k of hosts (h+1)%Hosts .. (h+Fanout)%Hosts.
+func (p Pattern) rankGens(nc noc.Config) ([]noc.NodeID, []rankGen, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -215,78 +217,142 @@ func (p Pattern) Programs(nc noc.Config) ([]noc.NodeID, []proto.Program, error) 
 		ranks = 1
 	}
 	cores := make([]noc.NodeID, ranks)
-	progs := make([]proto.Program, ranks)
-	for r := 0; r < ranks; r++ {
+	gens := make([]rankGen, ranks)
+	for r := range gens {
 		host, slot := r/rph, r%rph
 		cores[r] = noc.CoreID(host, slot)
-		rng := rand.New(rand.NewSource(p.Seed + 7919)) // same sizes for every rank
+		gens[r] = rankGen{p: p, r: r, host: host, slot: slot, rph: rph, tiles: tiles,
+			rng: rand.New(rand.NewSource(p.Seed + 7919))} // same sizes for every rank
+	}
+	return cores, gens, nil
+}
+
+// appendRound appends round's ops. Round Rounds is the tail: the acquires of
+// the last round's flags and the closing full barrier. Rounds must be
+// appended in order, as each draws its size from the generator's rng.
+func (g *rankGen) appendRound(prog proto.Program, round int) proto.Program {
+	p := &g.p
+	v := uint64(round + 1)
+	if round == p.Rounds {
+		if !p.ProducerOnly {
+			prog = g.appendAcquires(prog, uint64(p.Rounds))
+		}
+		return append(prog, proto.Barrier(proto.SeqCst))
+	}
+	size := p.syncSize(g.rng)
+	if p.ComputeCycles > 0 {
+		prog = append(prog, proto.Compute(p.ComputeCycles))
+	}
+	// Write phase: data to every partner first (Fig. 5's pattern), so the
+	// Release epoch spans Fanout directories.
+	for k := 1; k <= p.Fanout; k++ {
+		dst := (g.host+k)%p.Hosts*g.rph + g.slot
+		prog = p.writeData(prog, dataRegion(g.r, dst/g.rph, g.tiles), size, v)
+	}
+	// Publish phase. The producer-only micro-benchmark follows Fig. 5's
+	// pattern exactly: m Relaxed stores to the first n-1 directories, then a
+	// single Release to the last. The two-sided applications publish one
+	// flag per partner.
+	if p.ProducerOnly {
+		prog = append(prog, g.publish((g.host+p.Fanout)%p.Hosts, v))
+		// The micro-benchmark thread waits for its releases to complete
+		// before the next round (release acknowledgment / posted-write
+		// flush).
+		return append(prog, proto.Barrier(proto.Release))
+	}
+	for k := 1; k <= p.Fanout; k++ {
+		prog = append(prog, g.publish((g.host+k)%p.Hosts, v))
+	}
+	// Consume phase, double-buffered (MPI split-phase style): wait for the
+	// *previous* round's flags from in-neighbors, so one round of slack
+	// hides release-propagation latency. The tail collects the final
+	// round's flags.
+	want := v - 1
+	if p.TightEvery > 0 && (round+1)%p.TightEvery == 0 {
+		want = v // tightly coupled phase boundary
+	}
+	if want > 0 {
+		prog = g.appendAcquires(prog, want)
+	}
+	return prog
+}
+
+// publish returns the op that publishes round v's flag at host dst.
+func (g *rankGen) publish(dst int, v uint64) proto.Op {
+	if g.p.UseAtomics {
+		// Task-queue style: bump the flag with a Release fetch-add (the
+		// flag reaches v after v rounds).
+		return proto.FetchAdd(flagAddr(g.r, dst, g.tiles), 1, proto.Release)
+	}
+	return proto.StoreRelease(flagAddr(g.r, dst, g.tiles), 8, v)
+}
+
+// appendAcquires appends the acquires of every in-neighbor's flag.
+func (g *rankGen) appendAcquires(prog proto.Program, want uint64) proto.Program {
+	for k := 1; k <= g.p.Fanout; k++ {
+		src := (g.host-k+g.p.Hosts)%g.p.Hosts*g.rph + g.slot
+		prog = append(prog, proto.AcquireLoad(flagAddr(src, g.host, g.tiles), want))
+	}
+	return prog
+}
+
+// rankSource streams a rankGen's program: it fills one round into a reused
+// buffer and yields it op by op, so a run holds one round per rank instead
+// of the whole program.
+type rankSource struct {
+	gen   rankGen
+	buf   proto.Program
+	pos   int
+	round int // the next round to fill
+}
+
+func (s *rankSource) Next(sim.Time) (proto.Op, bool) {
+	for s.pos == len(s.buf) {
+		if s.round > s.gen.p.Rounds {
+			return proto.Op{}, false
+		}
+		s.buf, s.pos = s.gen.appendRound(s.buf[:0], s.round), 0
+		s.round++
+	}
+	op := s.buf[s.pos]
+	s.pos++
+	return op, true
+}
+
+// Programs builds the per-core programs for the given interconnect shape:
+// cores[i] runs progs[i].
+func (p Pattern) Programs(nc noc.Config) ([]noc.NodeID, []proto.Program, error) {
+	cores, gens, err := p.rankGens(nc)
+	if err != nil {
+		return nil, nil, err
+	}
+	progs := make([]proto.Program, len(gens))
+	for r := range gens {
 		var prog proto.Program
 		if r > 0 { // every rank draws the same sizes: rank 0's length
 			prog = make(proto.Program, 0, len(progs[0]))
 		}
-		for round := 0; round < p.Rounds; round++ {
-			v := uint64(round + 1)
-			size := p.syncSize(rng)
-			if p.ComputeCycles > 0 {
-				prog = append(prog, proto.Compute(p.ComputeCycles))
-			}
-			// Write phase: data to every partner first (Fig. 5's pattern),
-			// so the Release epoch spans Fanout directories.
-			for k := 1; k <= p.Fanout; k++ {
-				dst := (host+k)%p.Hosts*rph + slot
-				prog = p.writeData(prog, dataRegion(r, dst/rph, tiles), size, v)
-			}
-			// Publish phase. The producer-only micro-benchmark follows
-			// Fig. 5's pattern exactly: m Relaxed stores to the first n-1
-			// directories, then a single Release to the last. The two-sided
-			// applications publish one flag per partner.
-			publish := func(dst int) proto.Op {
-				if p.UseAtomics {
-					// Task-queue style: bump the flag with a Release
-					// fetch-add (the flag reaches v after v rounds).
-					return proto.FetchAdd(flagAddr(r, dst, tiles), 1, proto.Release)
-				}
-				return proto.StoreRelease(flagAddr(r, dst, tiles), 8, v)
-			}
-			if p.ProducerOnly {
-				prog = append(prog, publish((host+p.Fanout)%p.Hosts))
-			} else {
-				for k := 1; k <= p.Fanout; k++ {
-					prog = append(prog, publish((host+k)%p.Hosts))
-				}
-			}
-			if p.ProducerOnly {
-				// The micro-benchmark thread waits for its releases to
-				// complete before the next round (release acknowledgment /
-				// posted-write flush).
-				prog = append(prog, proto.Barrier(proto.Release))
-				continue
-			}
-			// Consume phase, double-buffered (MPI split-phase style): wait
-			// for the *previous* round's flags from in-neighbors, so one
-			// round of slack hides release-propagation latency. The final
-			// round's flags are collected after the loop.
-			want := v - 1
-			if p.TightEvery > 0 && (round+1)%p.TightEvery == 0 {
-				want = v // tightly coupled phase boundary
-			}
-			if want > 0 {
-				for k := 1; k <= p.Fanout; k++ {
-					src := (host-k+p.Hosts)%p.Hosts*rph + slot
-					prog = append(prog, proto.AcquireLoad(flagAddr(src, host, tiles), want))
-				}
-			}
+		for round := 0; round <= p.Rounds; round++ {
+			prog = gens[r].appendRound(prog, round)
 		}
-		if !p.ProducerOnly {
-			for k := 1; k <= p.Fanout; k++ {
-				src := (host-k+p.Hosts)%p.Hosts*rph + slot
-				prog = append(prog, proto.AcquireLoad(flagAddr(src, host, tiles), uint64(p.Rounds)))
-			}
-		}
-		prog = append(prog, proto.Barrier(proto.SeqCst))
 		progs[r] = prog
 	}
 	return cores, progs, nil
+}
+
+// Sources is Programs as pull-based streams for proto.ExecSources: cores[i]
+// pulls the ops of Programs' progs[i] from srcs[i], generated a round at a
+// time.
+func (p Pattern) Sources(nc noc.Config) ([]noc.NodeID, []proto.OpSource, error) {
+	cores, gens, err := p.rankGens(nc)
+	if err != nil {
+		return nil, nil, err
+	}
+	srcs := make([]proto.OpSource, len(gens))
+	for r := range gens {
+		srcs[r] = &rankSource{gen: gens[r]}
+	}
+	return cores, srcs, nil
 }
 
 // Micro returns the §5.3 sensitivity micro-benchmark: a single producer

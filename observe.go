@@ -102,7 +102,7 @@ func SimulateObserved(w Workload, p Protocol, s System, opt TraceOptions) (*Resu
 	if err != nil {
 		return nil, nil, err
 	}
-	cores, progs, err := w.Programs(nc)
+	cores, srcs, err := w.Sources(nc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -119,7 +119,7 @@ func SimulateObserved(w Workload, p Protocol, s System, opt TraceOptions) (*Resu
 	if opt.Runtime != nil {
 		sys.AttachRuntime(opt.Runtime)
 	}
-	run, err := proto.Exec(sys, b, cores, progs)
+	run, err := proto.ExecSources(sys, b, cores, srcs)
 	if err != nil {
 		return nil, nil, err
 	}
