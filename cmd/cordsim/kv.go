@@ -75,15 +75,20 @@ func scale(base cord.KVService, mult float64) cord.KVService {
 // throughput-vs-offered-load curve with the request-latency tail. With
 // -compare all four protocols run; otherwise only -proto does. When exactly
 // one (protocol, load) point runs, -trace-out/-metrics-out export its event
-// stream and metrics (analyze the stream with `cordtrace requests`).
+// stream and metrics (analyze the stream with `cordtrace requests`). Bad
+// -kv-* values exit 2 before any output, quoting the unscaled values given.
 func runKV(f kvFlags, p cord.Protocol, sys cord.System, compare bool, seed int64,
 	traceOut, metricsOut string, traceSample int) {
 	loads, err := parseLoads(f.loads)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 	base := f.config(seed)
+	if err := base.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "cordsim: bad -kv-* flags: %v\n", err)
+		os.Exit(2)
+	}
 	protocols := []cord.Protocol{p}
 	if compare {
 		protocols = cord.Protocols()

@@ -70,6 +70,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cordsim: -kv-arrival %g: must be >= 0 (0 runs a closed loop)\n", *kvArrival)
 		os.Exit(2)
 	}
+	if *traceSample < 1 {
+		fmt.Fprintf(os.Stderr, "cordsim: -trace-sample %d: must be >= 1 (1 records every transaction)\n", *traceSample)
+		os.Exit(2)
+	}
 
 	var sys cord.System
 	switch strings.ToUpper(*fabric) {

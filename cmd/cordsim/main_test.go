@@ -10,8 +10,9 @@ import (
 )
 
 // TestNegativeSizeExitsTwo runs main in a child process: a negative -hosts,
-// -cores, -mesh or -kv-arrival, or an unknown -fabric, must fail with a
-// message and exit status 2, before any simulation starts.
+// -cores, -mesh or -kv-arrival, a -trace-sample below 1, an unknown -fabric,
+// or any other bad -kv-* value must fail with a message quoting the value as
+// given and exit status 2, before any simulation starts or output is printed.
 func TestNegativeSizeExitsTwo(t *testing.T) {
 	if args := os.Getenv("CORDSIM_TEST_ARGS"); args != "" {
 		os.Args = append([]string{"cordsim"}, strings.Fields(args)...)
@@ -24,6 +25,16 @@ func TestNegativeSizeExitsTwo(t *testing.T) {
 		{"-mesh -2", "must be >= 0"},
 		{"-workload kvsvc -kv-arrival -5", "-kv-arrival -5: must be >= 0"},
 		{"-fabric XYZ", `-fabric "XYZ": must be CXL or UPI`},
+		{"-trace-sample 0", "-trace-sample 0: must be >= 1"},
+		{"-workload kvsvc -trace-sample -3", "-trace-sample -3: must be >= 1"},
+		{"-workload kvsvc -kv-think -5", "ThinkCycles -5 < 0"},
+		{"-workload kvsvc -kv-clients 0", "Clients 0 < 1"},
+		{"-workload kvsvc -kv-requests 0", "Requests 0 < 1"},
+		{"-workload kvsvc -kv-get-pct 101", "GetPct 101 outside [0,100]"},
+		{"-workload kvsvc -kv-value-bytes 0", "ValueBytes 0 outside [1,4096]"},
+		{"-workload kvsvc -kv-shards 0", "Shards 0 outside"},
+		{"-workload kvsvc -kv-servers 0", "ServersPerHost 0 < 1"},
+		{"-workload kvsvc -kv-loads 1,-2", `bad load multiplier "-2"`},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeSizeExitsTwo$")
 		cmd.Env = append(os.Environ(), "CORDSIM_TEST_ARGS="+tc.args)
@@ -35,6 +46,9 @@ func TestNegativeSizeExitsTwo(t *testing.T) {
 		}
 		if !strings.Contains(string(out), tc.msg) {
 			t.Errorf("cordsim %s: output lacks %q:\n%s", tc.args, tc.msg, out)
+		}
+		if strings.Contains(string(out), "workload ") {
+			t.Errorf("cordsim %s: printed output before failing:\n%s", tc.args, out)
 		}
 	}
 }

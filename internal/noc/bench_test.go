@@ -69,8 +69,9 @@ func BenchmarkSendJittered(b *testing.B) {
 }
 
 // BenchmarkSendInterHostPartitioned: the same cross-host send on the
-// host-partitioned network — outbox append, window-barrier Flush (file into
-// the arrival calendar + inject), and slot-based delivery on the destination shard. Mixed
+// host-partitioned network — filing into the arrival calendar at Send, the
+// window-barrier Flush that injects it, and slot-based delivery on the
+// destination shard. Mixed
 // with an intra-host send per pair so the measurement also covers shard-local
 // scheduling through the cached per-host engine.
 func BenchmarkSendInterHostPartitioned(b *testing.B) {
@@ -107,8 +108,9 @@ func BenchmarkSendInterHostPartitioned(b *testing.B) {
 }
 
 // BenchmarkFlush measures one conservative window of partitioned cross-host
-// traffic with queueing tails: the sends, the pre-window Flush that injects
-// what is due, the shards' deliveries, and the census Flush (see flushRig).
+// traffic with queueing tails: the earliest-arrival read, the Flush that
+// injects what is due, the shards' deliveries and their sends (see
+// flushRig).
 func BenchmarkFlush(b *testing.B) {
 	r := newFlushRig()
 	for i := 0; i < 4*32; i++ {

@@ -11,15 +11,16 @@ import (
 )
 
 // flushRef is one buffered cross-host message as the reference merge sees
-// it: the (at, srcHost, seq) injection key, the destination host, and the
-// payload id the delivery handler reports back.
+// it: the (at, srcHost, seq) injection key, the destination host, the wire
+// bytes, and the payload id the delivery handler reports back.
 type flushRef struct {
 	at    sim.Time
 	src   int32
 	seq   uint64
 	dst   int
+	bytes int
 	id    int
-	filed sim.Time // the horizon of the Flush that first saw it
+	filed sim.Time // the horizon of the last Flush before it was sent
 }
 
 type flushDelivery struct {
@@ -28,15 +29,17 @@ type flushDelivery struct {
 }
 
 // TestFlushMatchesSortedReference drives Network.Flush directly, the way
-// sim.Cluster does (flush to a deadline, run every shard to it, census flush
-// at the same deadline), against a reference that sorts everything buffered
+// sim.Cluster does (read the earliest pending arrival, flush to a deadline,
+// run every shard to it), against a reference that sorts everything buffered
 // by (at, srcHost, seq). Six hosts send bursts over a 1 B/cycle link, so
 // egress queueing parks arrivals thousands of cycles past the horizon, and
 // the horizon advances in random strides that include jumps wider than 4096
-// cycles. After every Flush the remaining count and earliest arrival must
-// match the reference, and each destination shard must deliver exactly the
-// due messages in reference order: a shard's same-cycle deliveries fire in
-// injection order, so this pins the barrier's tie-break.
+// cycles and repeated flushes at an unchanged horizon. Before every Flush the
+// pending count and earliest arrival must match the reference; each Flush
+// must report the due messages' count and bytes; and each destination shard
+// must deliver exactly the due messages in reference order: a shard's
+// same-cycle deliveries fire in injection order, so this pins the barrier's
+// tie-break.
 func TestFlushMatchesSortedReference(t *testing.T) {
 	const ring = 4096 // the arrival calendar's span; the workload must reach past it
 	cfg := CXLConfig()
@@ -62,7 +65,7 @@ func TestFlushMatchesSortedReference(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(42))
 	var pending []flushRef
-	ids := 0
+	ids, harvested := 0, 0
 	flushes := 0
 	var horizon sim.Time
 	maxLead, farInjected := sim.Time(0), 0
@@ -73,19 +76,23 @@ func TestFlushMatchesSortedReference(t *testing.T) {
 	gaps, lulls := 0, 0
 	last := sim.Time(0)
 
-	// flush harvests the outboxes into the reference, runs Flush(h) and
-	// checks it, then runs every shard to h and checks what was delivered.
+	// flush harvests the messages sent since the last call into the
+	// reference (every live calendar slot whose payload id is new: ids grow
+	// with each Send), checks Pending, runs Flush(h) and checks it, then
+	// runs every shard to h and checks what was delivered.
 	flush := func(h sim.Time) {
 		t.Helper()
-		for sh := range n.outbox {
-			for _, m := range n.outbox[sh] {
+		for i := range n.cal.slab {
+			m := &n.cal.slab[i]
+			if id, ok := m.payload.(int); ok && id > harvested {
 				pending = append(pending, flushRef{at: m.at, src: m.srcHost, seq: m.seq,
-					dst: n.nodeAt(m.dstIdx).Host, id: m.payload.(int), filed: horizon})
+					dst: n.nodeAt(m.dstIdx).Host, bytes: int(m.bytes), id: id, filed: horizon})
 				if lead := m.at - horizon; lead > maxLead {
 					maxLead = lead
 				}
 			}
 		}
+		harvested = ids
 		flushes++
 		slices.SortFunc(pending, func(a, b flushRef) int {
 			if c := cmp.Compare(a.at, b.at); c != 0 {
@@ -96,10 +103,22 @@ func TestFlushMatchesSortedReference(t *testing.T) {
 			}
 			return cmp.Compare(a.seq, b.seq)
 		})
+		count, earliest := n.Pending()
+		if count != len(pending) || (count > 0 && earliest != pending[0].at) {
+			wantEarliest := sim.Time(0)
+			if len(pending) > 0 {
+				wantEarliest = pending[0].at
+			}
+			t.Fatalf("before Flush(%d) #%d: Pending() = (%d, %d), want (%d, %d)",
+				h, flushes, count, earliest, len(pending), wantEarliest)
+		}
 		want := make([][]flushDelivery, cfg.Hosts)
 		keep := pending[:0:0]
+		due, dueBytes := 0, 0
 		for _, r := range pending {
 			if r.at <= h {
+				due++
+				dueBytes += r.bytes
 				want[r.dst] = append(want[r.dst], flushDelivery{at: r.at, id: r.id})
 				if r.at-last > ring {
 					gaps++
@@ -117,14 +136,8 @@ func TestFlushMatchesSortedReference(t *testing.T) {
 		if len(pending) > 0 && pending[0].at > h+ring {
 			lulls++
 		}
-		remaining, earliest := n.Flush(h)
-		wantEarliest := sim.Time(0)
-		if len(pending) > 0 {
-			wantEarliest = pending[0].at
-		}
-		if remaining != len(pending) || (remaining > 0 && earliest != wantEarliest) {
-			t.Fatalf("Flush(%d) #%d = (%d, %d), want (%d, %d)",
-				h, flushes, remaining, earliest, len(pending), wantEarliest)
+		if injected, bytes := n.Flush(h); injected != due || bytes != dueBytes {
+			t.Fatalf("Flush(%d) #%d = (%d, %d), want (%d, %d)", h, flushes, injected, bytes, due, dueBytes)
 		}
 		for _, e := range cl.Engines() {
 			if err := e.RunUntil(h); err != nil {
@@ -147,7 +160,7 @@ func TestFlushMatchesSortedReference(t *testing.T) {
 		case 0:
 			stride = ring + 1 + sim.Time(rng.Intn(2*ring)) // wider than the ring
 		case 1:
-			stride = 0 // another census at the unchanged horizon
+			stride = 0 // another flush at the unchanged horizon
 		}
 		// Every 100 steps, a lull: one jumbo message whose serialization
 		// alone outlasts the ring, a wait for the queues to drain, and a
@@ -186,14 +199,13 @@ func TestFlushMatchesSortedReference(t *testing.T) {
 				})
 			}
 		}
-		flush(next) // the pre-window barrier
-		flush(next) // the census after the window
+		flush(next)
 		horizon = next
 	}
 	// Drain what is left with one jump past every arrival.
 	flush(horizon + 1<<20)
-	if len(pending) != 0 {
-		t.Fatalf("%d messages still buffered after the final drain", len(pending))
+	if count, _ := n.Pending(); len(pending) != 0 || count != 0 {
+		t.Fatalf("%d messages (Pending: %d) still buffered after the final drain", len(pending), count)
 	}
 	if maxLead <= 2*ring || farInjected == 0 || gaps == 0 || lulls == 0 || horizon < 8*ring {
 		t.Fatalf("workload too gentle: max lead %d, %d injected past the ring, %d gaps, %d lulls, horizon %d",

@@ -159,8 +159,8 @@ func TestSendTracedAllocBounded(t *testing.T) {
 }
 
 // flushRig drives the partitioned network's window barrier by hand, the way
-// sim.Cluster does: Flush to the window's deadline, run every shard to it,
-// census Flush. Every host sends a few small cross-host messages per window,
+// sim.Cluster does: read the earliest pending arrival, Flush to the window's
+// deadline, run every shard to it. Every host sends a few small cross-host messages per window,
 // and once every 32 windows each host sends a burst that its 1 B/cycle
 // egress port serializes over more than 4096 cycles, so the buffer always
 // holds a queueing tail far past the horizon. The average load stays below
@@ -201,21 +201,21 @@ func (r *flushRig) step() {
 	for h, e := range r.engines {
 		e.ScheduleDeliverAt(r.horizon+1, r.driver, uint64(h), nil)
 	}
+	r.n.Pending()
 	r.n.Flush(next)
 	for _, e := range r.engines {
 		if err := e.RunUntil(next); err != nil {
 			panic(err)
 		}
 	}
-	r.n.Flush(next)
 	r.horizon = next
 	r.window++
 }
 
 // TestFlushZeroAllocSteadyState holds the window barrier to zero
-// allocations once its buffers have grown: outbox appends, filing into the
-// arrival calendar (overflow heap included), in-order injection, and the
-// census Flush.
+// allocations once its buffers have grown: filing into the arrival calendar
+// at Send (overflow heap included), the earliest-arrival read, and in-order
+// injection.
 func TestFlushZeroAllocSteadyState(t *testing.T) {
 	r := newFlushRig()
 	overflowed := false

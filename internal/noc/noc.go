@@ -10,11 +10,11 @@
 //
 // Every host runs on an engine, and a delivery between hosts on the same
 // engine is scheduled on it directly. A send to a host on another engine is
-// buffered in a source-host outbox, filed once into an arrival calendar at
-// the next window barrier (Flush), and injected into the destination engine
-// in deterministic (time, source host, sequence) order. NewPartitioned gives
-// each host its own engine, as the host-sharded cluster scheduler needs; New
-// puts every host on one engine, so nothing is ever buffered.
+// filed at once into an arrival calendar, and the window barrier (Flush)
+// injects it into the destination engine in deterministic (time, source
+// host, sequence) order. NewPartitioned gives each host its own engine, as
+// the host-sharded cluster scheduler needs; New puts every host on one
+// engine, so nothing is ever buffered.
 package noc
 
 import (
@@ -240,17 +240,16 @@ type xmsg struct {
 // accounts traffic, and schedules the destination handler.
 type Network struct {
 	cfg Config
-	// Per-host engines, traffic accumulators, optional recorders (nil
-	// disables tracing), and cross-engine outboxes. Hosts may share an
-	// engine and a traffic accumulator (New). Everything indexed by host is
-	// touched only while that host's engine runs, or by Flush at the window
-	// barrier.
+	// Per-host engines, traffic accumulators and optional recorders (nil
+	// disables tracing). Hosts may share an engine and a traffic accumulator
+	// (New). Everything indexed by host is touched only while that host's
+	// engine runs; shards run one after another, so the calendar needs no
+	// lock.
 	engines  []*sim.Engine
 	traffics []*stats.Traffic
 	recs     []*obs.Recorder
-	outbox   [][]xmsg  // [src shard] -> buffered cross-host sends
 	seqs     []uint64  // per-source-host send sequence numbers
-	cal      *calendar // flushed messages awaiting their window
+	cal      *calendar // cross-host messages awaiting their window
 
 	// egress[h] is host h's directional switch port; its serialization
 	// state is owned by the sending host.
@@ -264,21 +263,6 @@ type Network struct {
 	// the configured bandwidth is fractional and serialization falls back
 	// to float ceil.
 	linkWhole uint64
-
-	// fobs is the optional simulator-runtime flush census hook (nil
-	// disables). It is invoked once per Flush, at the window barrier, so it
-	// adds nothing to the per-message send path.
-	fobs FlushObserver
-}
-
-// FlushObserver receives the cross-shard outbox census at each Exchanger
-// barrier: how many buffered messages the flush injected, how many remain
-// buffered past the horizon (outbox depth), and the wire bytes the injected
-// messages carried. Implemented by obs/runtime.Collector; this is simulator
-// telemetry about the merge itself and never feeds back into simulation
-// state.
-type FlushObserver interface {
-	RecordFlush(injected, retained, mergedBytes int)
 }
 
 // New creates a network with every host on one engine, accounting all
@@ -312,7 +296,6 @@ func NewPartitioned(engines []*sim.Engine, cfg Config, traffics []*stats.Traffic
 		cfg:      cfg,
 		engines:  engines,
 		traffics: traffics,
-		outbox:   make([][]xmsg, cfg.Hosts),
 		seqs:     make([]uint64, cfg.Hosts),
 		cal:      &calendar{slab: make([]xmsg, 1)}, // slot 0 is the nil link
 		egress:   make([]link, cfg.Hosts),
@@ -348,9 +331,6 @@ func (n *Network) SetObservers(recs []*obs.Recorder) {
 	}
 	n.recs = recs
 }
-
-// SetFlushObserver installs the runtime flush-census hook (nil detaches).
-func (n *Network) SetFlushObserver(o FlushObserver) { n.fobs = o }
 
 // recOf returns host h's recorder (nil when untraced).
 func (n *Network) recOf(h int) *obs.Recorder {
@@ -433,8 +413,9 @@ func (n *Network) serialization(bytes int) sim.Time {
 //
 // Send must execute on the source host's engine — true for every protocol
 // engine, whose components only send from their own node. A delivery to a
-// host on another engine is buffered until the next window barrier (Flush)
-// instead of being scheduled immediately. Delivery jitter draws from the
+// host on another engine is filed into the arrival calendar, to be injected
+// at the window barrier (Flush) that reaches its arrival time, instead of
+// being scheduled immediately. Delivery jitter draws from the
 // source host's engine PRNG, so each engine's jitter stream depends only on
 // its own (deterministic) send order.
 func (n *Network) Send(src, dst NodeID, class stats.MsgClass, bytes int, payload any) {
@@ -473,22 +454,19 @@ func (n *Network) Send(src, dst NodeID, class stats.MsgClass, bytes int, payload
 	}
 	if n.engines[dst.Host] != eng {
 		n.seqs[sh]++
-		n.outbox[sh] = append(n.outbox[sh], xmsg{
-			at: eng.Now() + delay, seq: n.seqs[sh], srcHost: int32(sh),
+		at := eng.Now() + delay
+		i := n.cal.slot(at)
+		n.cal.slab[i] = xmsg{
+			at: at, seq: n.seqs[sh], srcHost: int32(sh),
 			dstIdx: int32(idx), traced: traced, src: packID(src),
 			class: class, bytes: int32(bytes), dur: delay, payload: payload,
-		})
+		}
+		n.cal.place(i)
 		return
 	}
 	if traced {
-		// The one place a Send still allocates: the arrival closure.
-		h, drec := n.handlers[idx], n.recOf(dst.Host)
-		osrc, odst := src.Obs(), dst.Obs()
-		eng.Schedule(delay, func() {
-			drec.Record(obs.Event{At: eng.Now(), Kind: obs.KDeliver,
-				Src: osrc, Dst: odst, Class: class, Bytes: bytes, Dur: delay})
-			h(src, payload)
-		})
+		eng.Schedule(delay, n.tracedArrival(&xmsg{dstIdx: int32(idx), src: packID(src),
+			class: class, bytes: int32(bytes), dur: delay, payload: payload}))
 		return
 	}
 	eng.ScheduleDeliver(delay, n.deliver[idx], packID(src), payload)
@@ -515,26 +493,18 @@ func (n *Network) delay(eng *sim.Engine, src, dst NodeID, bytes int, interHost b
 	return delay + queueing + ser, queueing
 }
 
-// Flush implements sim.Exchanger: it files every outbox message into the
-// arrival calendar, then injects every buffered cross-host message with
-// arrival time <= horizon into its destination shard's engine, in (arrival
-// time, source host, per-host sequence) order — a total order, since the
-// sequence is unique per source host. Later messages stay filed for a future
-// window. Flush runs at the window barrier, between windows, so it may touch
-// every engine and outbox.
-func (n *Network) Flush(horizon sim.Time) (int, sim.Time) {
+// Flush implements sim.Exchanger: it injects every filed cross-host message
+// with arrival time <= horizon into its destination shard's engine, in
+// (arrival time, source host, per-host sequence) order — a total order,
+// since the sequence is unique per source host — and returns how many it
+// injected and the wire bytes they carried. Later messages stay filed for a
+// future window. Flush runs at the window barrier, between windows, so it
+// may touch every engine.
+func (n *Network) Flush(horizon sim.Time) (injected, bytes int) {
 	c := n.cal
-	for sh, ob := range n.outbox {
-		for i := range ob {
-			c.file(&ob[i])
-			ob[i].payload = nil // release the reference; the slab holds the copy
-		}
-		n.outbox[sh] = ob[:0]
-	}
 	// Draining leaves base alone: every chained arrival precedes every
 	// overflow arrival, so an overflow arrival comes due only once the ring
 	// is empty, and the jump that reaches it links it first.
-	injected, bytes := 0, 0
 	for {
 		if c.ringLen == 0 {
 			if len(c.over) == 0 || c.slab[c.over[0]].at > horizon {
@@ -562,17 +532,22 @@ func (n *Network) Flush(horizon sim.Time) (int, sim.Time) {
 	if horizon >= c.base {
 		c.advance(horizon + 1)
 	}
-	// Overflow arrivals all lie beyond every chained one.
-	remaining, earliest := c.ringLen+len(c.over), sim.Time(0)
-	if c.ringLen > 0 {
-		_, earliest = c.first()
-	} else if len(c.over) > 0 {
-		earliest = c.slab[c.over[0]].at
+	return injected, bytes
+}
+
+// Pending implements sim.Exchanger: how many cross-host messages are filed
+// and the earliest arrival among them. Overflow arrivals all lie beyond
+// every chained one, so it reads the ring's first bucket or the heap top.
+func (n *Network) Pending() (int, sim.Time) {
+	c := n.cal
+	switch {
+	case c.ringLen > 0:
+		_, at := c.first()
+		return c.ringLen + len(c.over), at
+	case len(c.over) > 0:
+		return len(c.over), c.slab[c.over[0]].at
 	}
-	if n.fobs != nil {
-		n.fobs.RecordFlush(injected, remaining, bytes)
-	}
-	return remaining, earliest
+	return 0, 0
 }
 
 // Calendar geometry: calSize consecutive cycles of arrival buckets. Egress
@@ -586,7 +561,7 @@ const (
 )
 
 // calendar buffers cross-host messages between window barriers (R. Brown's
-// calendar queue). Each message is copied once into a slab slot, chained
+// calendar queue). Send copies each message once into a slab slot, chained
 // into the bucket of its arrival cycle when that lies in [base,
 // base+calSize), and otherwise kept in a min-heap on arrival time until base
 // comes within calSize of it. Each chain is kept in (srcHost, seq) order, so
@@ -608,27 +583,26 @@ func (a *xmsg) before(b *xmsg) bool {
 	return a.srcHost < b.srcHost || a.srcHost == b.srcHost && a.seq < b.seq
 }
 
-// file copies m into a slab slot and files it under its arrival cycle. The
-// conservative window bound puts every arrival after the last flushed
-// horizon, so at or after base.
-func (c *calendar) file(m *xmsg) {
-	if m.at < c.base {
-		panic(fmt.Sprintf("noc: cross-host arrival at %d precedes the flushed horizon %d", m.at, c.base-1))
+// slot returns a free slab slot for a message arriving at cycle at; the
+// caller stores the message there and files it with place. The conservative
+// window bound puts every arrival after the last flushed horizon, so at or
+// after base: during a window, base is the window's deadline plus one.
+func (c *calendar) slot(at sim.Time) int32 {
+	if at < c.base {
+		panic(fmt.Sprintf("noc: cross-host arrival at %d precedes the flushed horizon %d", at, c.base-1))
 	}
-	var i int32
 	if k := len(c.free); k > 0 {
-		i, c.free = c.free[k-1], c.free[:k-1]
-	} else {
-		i = int32(len(c.slab))
-		c.slab = append(c.slab, xmsg{})
+		i := c.free[k-1]
+		c.free = c.free[:k-1]
+		return i
 	}
-	c.slab[i] = *m
-	c.place(i)
+	c.slab = append(c.slab, xmsg{})
+	return int32(len(c.slab) - 1)
 }
 
 // place chains slot i into its bucket, or pushes it on the overflow heap.
-// One barrier files the outboxes in source-host order, each in seq order, so
-// a new message usually sorts last and is appended. A later barrier, or the
+// Shards run a window in source-host order, each sending in seq order, so a
+// new message usually sorts last and is appended. A later window, or the
 // heap (which releases same-cycle arrivals in any order), can bring a lower
 // source host to a bucket; that message is walked into place.
 func (c *calendar) place(i int32) {
@@ -714,26 +688,32 @@ func (c *calendar) pop() int32 {
 }
 
 // inject schedules one flushed cross-host arrival on its destination shard.
-// Untraced deliveries stay monomorphic and allocation-free; traced ones
-// record the KDeliver into the destination host's recorder (the source
-// host's recorder already holds the matching KSend).
+// Untraced deliveries stay monomorphic and allocation-free.
 func (n *Network) inject(m *xmsg) {
-	dst := n.nodeAt(m.dstIdx)
-	eng := n.engines[dst.Host]
+	eng := n.engines[n.nodeAt(m.dstIdx).Host]
 	if !m.traced {
 		eng.ScheduleDeliverAt(m.at, n.deliver[m.dstIdx], m.src, m.payload)
 		return
 	}
-	rec := n.recOf(dst.Host)
-	h := n.handlers[m.dstIdx]
+	eng.ScheduleAt(m.at, n.tracedArrival(m))
+}
+
+// tracedArrival returns the arrival event of a sampled message: it records
+// the KDeliver into the destination host's recorder (the source host's
+// recorder already holds the matching KSend), then runs the handler. The
+// closure is allocated and copies what it needs, so m may be reused once
+// this returns.
+func (n *Network) tracedArrival(m *xmsg) func() {
+	dst := n.nodeAt(m.dstIdx)
+	eng, rec, h := n.engines[dst.Host], n.recOf(dst.Host), n.handlers[m.dstIdx]
 	src := unpackID(m.src)
 	osrc, odst := src.Obs(), dst.Obs()
 	class, bytes, dur, payload := m.class, int(m.bytes), m.dur, m.payload
-	eng.ScheduleAt(m.at, func() {
+	return func() {
 		rec.Record(obs.Event{At: eng.Now(), Kind: obs.KDeliver,
 			Src: osrc, Dst: odst, Class: class, Bytes: bytes, Dur: dur})
 		h(src, payload)
-	})
+	}
 }
 
 // LocalDir returns the directory slice co-located with a core: the same tile.

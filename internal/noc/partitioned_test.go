@@ -27,8 +27,8 @@ func partitionedNet(cfg Config, seed int64) (*sim.Cluster, *Network) {
 }
 
 // TestPartitionedSendZeroAllocUntraced extends the hot-path allocation guard
-// to one engine per host: steady-state intra-host sends, cross-host buffering
-// (outbox append), the window-barrier Flush, and injection must all be
+// to one engine per host: steady-state intra-host sends, cross-host filing
+// into the arrival calendar, the window-barrier Flush, and injection must all be
 // allocation-free once buffers have grown. The driver event is scheduled
 // through the slot-based ScheduleDeliver so the test harness itself adds no
 // allocations.

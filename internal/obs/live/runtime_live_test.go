@@ -12,14 +12,14 @@ import (
 	"cord/internal/sim"
 )
 
-// seedRuntime feeds a collector two synthetic windows plus a flush census so
-// every exported family has a non-zero value.
+// seedRuntime feeds a collector two synthetic windows, the first with a
+// flush census, so every exported family has a non-zero value.
 func seedRuntime() *rt.Collector {
 	col := rt.NewCollector(2)
-	col.RecordFlush(4, 1, 512)
 	col.ObserveWindow(&sim.WindowRecord{
 		Anchor: 0, Deadline: 49, Active: 2,
 		WallNs: 1000, FlushNs: 100,
+		Retained: 5, Injected: 4, MergedBytes: 512,
 		ShardStartNs: []int64{0, 100},
 		ShardBusyNs:  []int64{800, 600},
 		ShardEvents:  []uint64{30, 20},
@@ -70,7 +70,7 @@ func TestServerRuntimeEndpoint(t *testing.T) {
 		`cord_sim_shard_events_total{shard="1"} 20`,
 		"cord_sim_outbox_injected_total 4",
 		"cord_sim_outbox_merged_bytes_total 512",
-		"cord_sim_outbox_retained_peak 1",
+		"cord_sim_outbox_retained_peak 5",
 		"cord_sim_efficiency",
 	} {
 		if !strings.Contains(body, want) {

@@ -338,7 +338,7 @@ func writeRuntimePrometheus(w http.ResponseWriter, r *rt.Report) {
 
 	fmt.Fprintf(w, "# TYPE cord_sim_outbox_injected_total counter\ncord_sim_outbox_injected_total %d\n", r.Totals.Injected)
 	fmt.Fprintf(w, "# TYPE cord_sim_outbox_merged_bytes_total counter\ncord_sim_outbox_merged_bytes_total %d\n", r.Totals.MergedBytes)
-	fmt.Fprintf(w, "# TYPE cord_sim_outbox_retained_peak gauge\ncord_sim_outbox_retained_peak %d\n", r.RetainedPeak)
+	fmt.Fprintf(w, "# TYPE cord_sim_outbox_retained_peak gauge\ncord_sim_outbox_retained_peak %d\n", r.Totals.RetainedMax)
 
 	s := rt.Analyze(r)
 	fmt.Fprintf(w, "# HELP cord_sim_efficiency fraction of elapsed simulator time spent executing events\n"+

@@ -14,8 +14,8 @@ import (
 type Report struct {
 	Hosts int `json:"hosts"`
 
-	Totals       Bucket `json:"totals"`
-	Flushes      uint64 `json:"flushes"`
+	Totals Bucket `json:"totals"`
+	// RetainedPeak repeats Totals.RetainedMax under the report's own name.
 	RetainedPeak uint64 `json:"outbox_retained_peak"`
 
 	PerShard []ShardTotals `json:"per_shard"`
@@ -66,8 +66,8 @@ func LoadReport(path string) (*Report, error) {
 // barrier merges (wall + flush). Shards run one after another inside a
 // window, so the execute phase less the shards' busy time is the window
 // loop's own bookkeeping: finding the due shards and reading the clocks. The
-// merge is the Exchanger filing and injecting cross-host messages. The three
-// shares sum to 1.
+// merge is the Exchanger injecting due cross-host messages. The three shares
+// sum to 1.
 type Scaling struct {
 	Windows uint64 `json:"windows"`
 	Events  uint64 `json:"events"`
@@ -143,13 +143,13 @@ func Analyze(r *Report) Scaling {
 func WriteScaling(w io.Writer, r *Report) error {
 	s := Analyze(r)
 	fmt.Fprintf(w, "simulator runtime report: %d hosts\n", r.Hosts)
-	fmt.Fprintf(w, "windows %d  events %d  wall %.2fms  merge %.2fms  flushes %d\n",
+	fmt.Fprintf(w, "windows %d  events %d  wall %.2fms  merge %.2fms\n",
 		s.Windows, s.Events,
-		float64(r.Totals.WallNs)/1e6, float64(r.Totals.FlushNs)/1e6, r.Flushes)
+		float64(r.Totals.WallNs)/1e6, float64(r.Totals.FlushNs)/1e6)
 	fmt.Fprintf(w, "event execution %.1f%% of elapsed | window bookkeeping %.1f%% | cross-host merge %.1f%%  -> dominant loss: %s\n",
 		s.Efficiency*100, s.LostWindow*100, s.LostMerge*100, s.Dominant)
 	fmt.Fprintf(w, "cross-host: %d msgs / %d bytes merged, outbox peak %d retained\n",
-		r.Totals.Injected, r.Totals.MergedBytes, r.RetainedPeak)
+		r.Totals.Injected, r.Totals.MergedBytes, r.Totals.RetainedMax)
 
 	fmt.Fprintf(w, "\nper-shard (busy+idle+barrier tiles each shard's window wall):\n")
 	fmt.Fprintf(w, "  %5s %12s %10s %10s %10s %7s\n",

@@ -5,11 +5,11 @@
 // answers "why is the release slow", runtime answers "where does the
 // simulator's time go besides executing events".
 //
-// The Collector implements sim.WindowObserver and noc.FlushObserver. Both
-// hooks run at window barriers, so the hot path inside a window costs nothing
-// beyond the cluster's own clock reads, and the per-event path costs nothing
-// at all: the window loop's 0 allocs/op guarantee holds with telemetry
-// enabled (guarded by AllocsPerRun tests).
+// The Collector implements sim.WindowObserver. The hook runs at window
+// barriers, so the hot path inside a window costs nothing beyond the
+// cluster's own clock reads, and the per-event path costs nothing at all: the
+// window loop's 0 allocs/op guarantee holds with telemetry enabled (guarded
+// by AllocsPerRun tests).
 //
 // Everything here measures host wall-clock time and is therefore
 // non-deterministic by nature. It is quarantined from the deterministic
@@ -115,9 +115,8 @@ type ShardTotals struct {
 
 // Collector accumulates runtime telemetry for one run. Create
 // with NewCollector, attach via proto.System.AttachRuntime (which wires it as
-// the cluster's WindowObserver and the network's FlushObserver), snapshot at
-// any time with Snapshot — the mutex makes live scraping safe while windows
-// are being recorded.
+// the cluster's WindowObserver), snapshot at any time with Snapshot — the
+// mutex makes live scraping safe while windows are being recorded.
 type Collector struct {
 	mu        sync.Mutex
 	shards    int
@@ -136,15 +135,6 @@ type Collector struct {
 	pend       Bucket
 	pendShards []ShardSlice
 	pendN      uint64
-
-	// Flush census accumulated since the last window barrier (a window sees
-	// its preceding injection flush plus the prior window's probe).
-	pendInjected uint64
-	pendBytes    uint64
-	pendRetained uint64
-
-	retainedPeak uint64
-	flushes      uint64
 
 	onWindow func(totalEvents uint64)
 }
@@ -213,11 +203,10 @@ func (c *Collector) ObserveWindow(rec *sim.WindowRecord) {
 		WallNs:      wall,
 		FlushNs:     nsU(rec.FlushNs),
 		ActiveSum:   uint64(rec.Active),
-		Injected:    c.pendInjected,
-		MergedBytes: c.pendBytes,
-		RetainedMax: c.pendRetained,
+		Injected:    uint64(rec.Injected),
+		MergedBytes: uint64(rec.MergedBytes),
+		RetainedMax: uint64(rec.Retained),
 	}
-	c.pendInjected, c.pendBytes, c.pendRetained = 0, 0, 0
 
 	n := len(rec.ShardStartNs)
 	if n > c.shards {
@@ -302,23 +291,6 @@ func (c *Collector) flushPend() {
 	c.pendN = 0
 }
 
-// RecordFlush implements the network's FlushObserver: one call per Exchanger
-// barrier merge with the number of injected cross-host messages, the number
-// still buffered (outbox depth), and the payload+header bytes merged.
-func (c *Collector) RecordFlush(injected, retained, mergedBytes int) {
-	c.mu.Lock()
-	c.flushes++
-	c.pendInjected += uint64(injected)
-	c.pendBytes += uint64(mergedBytes)
-	if r := uint64(retained); r > c.pendRetained {
-		c.pendRetained = r
-	}
-	if r := uint64(retained); r > c.retainedPeak {
-		c.retainedPeak = r
-	}
-	c.mu.Unlock()
-}
-
 // Windows returns the number of windows observed so far.
 func (c *Collector) Windows() uint64 {
 	c.mu.Lock()
@@ -342,8 +314,7 @@ func (c *Collector) Snapshot() *Report {
 	r := &Report{
 		Hosts:            c.shards,
 		Totals:           c.totals,
-		Flushes:          c.flushes,
-		RetainedPeak:     c.retainedPeak,
+		RetainedPeak:     c.totals.RetainedMax,
 		WindowsPerBucket: c.stride,
 	}
 	r.PerShard = make([]ShardTotals, len(c.sh))

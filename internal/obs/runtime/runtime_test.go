@@ -31,12 +31,14 @@ func window(anchor, deadline sim.Time, wall, flush int64,
 
 func TestCollectorTotalsAndTiling(t *testing.T) {
 	col := rt.NewCollector(3)
-	col.RecordFlush(5, 2, 640)
-	col.RecordFlush(3, 1, 160)
-	col.ObserveWindow(window(0, 99, 1000, 100,
-		[]int64{0, 100, -1}, []int64{100, 800, 0}, []uint64{50, 30, 0}))
-	col.ObserveWindow(window(100, 199, 2000, 0,
-		[]int64{0, -1, 500}, []int64{500, 0, 1500}, []uint64{10, 0, 20}))
+	w0 := window(0, 99, 1000, 100,
+		[]int64{0, 100, -1}, []int64{100, 800, 0}, []uint64{50, 30, 0})
+	w0.Retained, w0.Injected, w0.MergedBytes = 10, 8, 800
+	col.ObserveWindow(w0)
+	w1 := window(100, 199, 2000, 0,
+		[]int64{0, -1, 500}, []int64{500, 0, 1500}, []uint64{10, 0, 20})
+	w1.Retained = 2
+	col.ObserveWindow(w1)
 
 	if got := col.Windows(); got != 2 {
 		t.Fatalf("Windows() = %d, want 2", got)
@@ -59,15 +61,16 @@ func TestCollectorTotalsAndTiling(t *testing.T) {
 	if tot.ActiveSum != 4 {
 		t.Errorf("activeSum=%d, want 4", tot.ActiveSum)
 	}
-	// The pre-window flush census lands on the first observed window.
-	if tot.Injected != 8 || tot.MergedBytes != 800 || tot.RetainedMax != 2 {
-		t.Errorf("flush census = %d msgs / %d bytes / max %d, want 8/800/2",
+	// Each window's flush census lands on that window; retained is a peak.
+	if tot.Injected != 8 || tot.MergedBytes != 800 || tot.RetainedMax != 10 {
+		t.Errorf("flush census = %d msgs / %d bytes / max %d, want 8/800/10",
 			tot.Injected, tot.MergedBytes, tot.RetainedMax)
 	}
-	if r.Flushes != 2 || r.RetainedPeak != 2 {
-		t.Errorf("flushes=%d peak=%d, want 2/2", r.Flushes, r.RetainedPeak)
+	if r.RetainedPeak != 10 {
+		t.Errorf("peak=%d, want 10", r.RetainedPeak)
 	}
-	if len(r.Series) != 2 || r.Series[0].Injected != 8 || r.Series[1].Injected != 0 {
+	if len(r.Series) != 2 || r.Series[0].Injected != 8 || r.Series[1].Injected != 0 ||
+		r.Series[0].RetainedMax != 10 || r.Series[1].RetainedMax != 2 {
 		t.Errorf("series census misplaced: %+v", r.Series)
 	}
 
@@ -176,9 +179,10 @@ func TestAnalyzeAttribution(t *testing.T) {
 
 func TestReportJSONRoundTrip(t *testing.T) {
 	col := rt.NewCollector(2)
-	col.RecordFlush(4, 1, 320)
-	col.ObserveWindow(window(0, 49, 500, 40,
-		[]int64{0, 10}, []int64{400, 300}, []uint64{7, 5}))
+	w0 := window(0, 49, 500, 40,
+		[]int64{0, 10}, []int64{400, 300}, []uint64{7, 5})
+	w0.Retained, w0.Injected, w0.MergedBytes = 5, 4, 320
+	col.ObserveWindow(w0)
 	col.ObserveWindow(window(50, 99, 700, 0,
 		[]int64{5, -1}, []int64{600, 0}, []uint64{9, 0}))
 	rep := col.Snapshot()
@@ -297,12 +301,12 @@ func TestObserveWindowNoAlloc(t *testing.T) {
 	col.SetMaxSeries(4)
 	rec := window(0, 9, 100, 10,
 		[]int64{0, 5, -1, 20}, []int64{80, 60, 0, 40}, []uint64{3, 2, 0, 1})
+	rec.Retained, rec.Injected, rec.MergedBytes = 3, 2, 128
 	for i := 0; i < 64; i++ {
 		col.ObserveWindow(rec)
 	}
 	avg := testing.AllocsPerRun(500, func() {
 		col.ObserveWindow(rec)
-		col.RecordFlush(2, 1, 128)
 	})
 	if avg != 0 {
 		t.Fatalf("ObserveWindow allocates %.1f per window, want 0", avg)

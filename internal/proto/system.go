@@ -196,19 +196,16 @@ func (s *System) Observe(rec *obs.Recorder) {
 }
 
 // AttachRuntime wires a simulator-runtime telemetry collector into the
-// scheduler: the cluster reports per-window shard timings at each barrier,
-// the network reports the cross-host outbox census at each flush. Unlike
-// Observe, this never touches the simulated machine: wall-clock telemetry
-// stays out of the deterministic trace/metrics/stats outputs by
-// construction. A nil col detaches.
+// scheduler: the cluster reports per-window shard timings and the cross-host
+// census at each barrier. Unlike Observe, this never touches the simulated
+// machine: wall-clock telemetry stays out of the deterministic
+// trace/metrics/stats outputs by construction. A nil col detaches.
 func (s *System) AttachRuntime(col *rt.Collector) {
 	if col == nil {
-		s.cl.SetWindowObserver(nil)
-		s.Net.SetFlushObserver(nil)
+		s.cl.SetWindowObserver(nil) // not a typed nil: that would be a live observer
 		return
 	}
 	s.cl.SetWindowObserver(col)
-	s.Net.SetFlushObserver(col)
 }
 
 // Nodes is the number of cores, and of directory slices: one of each per

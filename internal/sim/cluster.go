@@ -6,17 +6,18 @@ import (
 )
 
 // Exchanger buffers cross-shard messages between conservative windows. The
-// NoC implements it: sends whose destination lives on another shard are
-// appended to a source-shard-owned outbox during a window, and Flush — called
-// at the window barrier — files them into a per-cycle arrival calendar and
-// moves every buffered message with timestamp <= horizon into its destination
-// engine in a deterministic order. Horizons never decrease, and the
-// conservative window bound puts every new message after the last horizon.
-// Flush returns how many messages stay buffered (their timestamps exceed the
-// horizon) and the earliest such timestamp, so the scheduler can anchor the
-// next window on a message even when every engine has drained.
+// NoC implements it: a send whose destination lives on another shard is
+// filed at once into a per-cycle arrival calendar, and Flush — called once
+// per window, at the barrier before it — moves every buffered message with
+// timestamp <= horizon into its destination engine in a deterministic order,
+// returning how many it moved and the wire bytes they carried. Horizons
+// never decrease, and the conservative window bound puts every new message
+// after the last horizon. Pending reports how many messages are buffered and
+// the earliest timestamp among them, so the scheduler can anchor the next
+// window on a message even when every engine has drained.
 type Exchanger interface {
-	Flush(horizon Time) (remaining int, earliest Time)
+	Flush(horizon Time) (injected, bytes int)
+	Pending() (n int, earliest Time)
 }
 
 // WindowRecord is the per-window runtime telemetry handed to a WindowObserver
@@ -34,11 +35,16 @@ type WindowRecord struct {
 	Deadline Time
 	// Active is the number of shards that had events due.
 	Active int
-	// WallNs is the wall time of the execute phase. FlushNs is the Exchanger
-	// merge time charged to this window (the pre-window flush plus the
-	// previous window's census probe).
+	// WallNs is the wall time of the execute phase, FlushNs that of the
+	// Exchanger flush before it.
 	WallNs  int64
 	FlushNs int64
+	// The cross-shard census at the window's barrier: Retained messages
+	// were buffered before the flush, which injected Injected of them,
+	// carrying MergedBytes wire bytes.
+	Retained    int
+	Injected    int
+	MergedBytes int
 	// Per-shard measurements, indexed by shard. A shard inactive this window
 	// has ShardStartNs[i] == -1. For active shards, ShardStartNs is the lag
 	// from window start until the shard began executing (the shards before
@@ -79,11 +85,9 @@ type Cluster struct {
 	active []int // scratch: shards with events due in the current window
 
 	// Runtime telemetry (nil = disabled, zero overhead). rec's per-shard
-	// slices are allocated once by SetWindowObserver and reused per window;
-	// flushNs accumulates Exchanger merge time between barriers.
-	wobs    WindowObserver
-	rec     WindowRecord
-	flushNs int64
+	// slices are allocated once by SetWindowObserver and reused per window.
+	wobs WindowObserver
+	rec  WindowRecord
 }
 
 // seedFor derives shard i's engine seed from the base seed (splitmix-style
@@ -169,50 +173,47 @@ func (c *Cluster) earliest() (Time, bool) {
 	return min, any
 }
 
-// flush runs one Exchanger barrier merge, charging its wall time to the next
-// window's telemetry record when an observer is attached.
-func (c *Cluster) flush(ex Exchanger, horizon Time) (int, Time) {
+// flush runs the window's Exchanger barrier, recording its census and wall
+// time in the window's telemetry record when an observer is attached.
+func (c *Cluster) flush(ex Exchanger, horizon Time, retained int) {
 	if c.wobs == nil {
-		return ex.Flush(horizon)
+		ex.Flush(horizon)
+		return
 	}
 	start := time.Now()
-	remaining, earliest := ex.Flush(horizon)
-	c.flushNs += time.Since(start).Nanoseconds()
-	return remaining, earliest
+	c.rec.Injected, c.rec.MergedBytes = ex.Flush(horizon)
+	c.rec.FlushNs = time.Since(start).Nanoseconds()
+	c.rec.Retained = retained
 }
 
 // Run executes the cluster to completion: windows of width W anchored at the
-// global minimum pending timestamp, with a Flush barrier before each window.
-// It returns the first (lowest-shard) engine error, typically the MaxEvents
-// guard. A nil Exchanger is valid for workloads with no cross-shard traffic.
+// earliest pending timestamp, engine event or buffered message, with one
+// Flush barrier before each window. It returns the first (lowest-shard)
+// engine error, typically the MaxEvents guard. A nil Exchanger is valid for
+// workloads with no cross-shard traffic.
 //
 // workers is ignored: shards always run one after another. The parameter
 // stays only because perfbench's ladder passes it; it goes with perfbench's
 // next benchmark revision.
 func (c *Cluster) Run(workers int, ex Exchanger) error {
-	buffered, bufEarliest := 0, Time(0)
 	for {
 		t, ok := c.earliest()
-		if buffered > 0 && (!ok || bufEarliest < t) {
-			t, ok = bufEarliest, true
+		buffered := 0
+		if ex != nil {
+			var at Time
+			if buffered, at = ex.Pending(); buffered > 0 && (!ok || at < t) {
+				t, ok = at, true
+			}
 		}
 		if !ok {
-			return nil // every queue and outbox drained
+			return nil // every queue and buffer drained
 		}
 		deadline := t + c.window - 1
 		if ex != nil {
-			buffered, bufEarliest = c.flush(ex, deadline)
+			c.flush(ex, deadline, buffered)
 		}
 		if err := c.runWindow(t, deadline); err != nil {
 			return err
-		}
-		if ex != nil {
-			// Refresh the buffer census: the window may have produced new
-			// cross-shard messages. The conservative bound puts them all
-			// strictly after deadline, so this Flush injects nothing — it
-			// only reports what remains, which the next iteration needs to
-			// anchor a window even when every engine has drained.
-			buffered, bufEarliest = c.flush(ex, deadline)
 		}
 	}
 }
@@ -262,8 +263,6 @@ func (c *Cluster) runWindow(anchor, deadline Time) error {
 		c.rec.Deadline = deadline
 		c.rec.Active = len(c.active)
 		c.rec.WallNs = time.Since(start).Nanoseconds()
-		c.rec.FlushNs = c.flushNs
-		c.flushNs = 0
 		c.wobs.ObserveWindow(&c.rec)
 	}
 	return nil

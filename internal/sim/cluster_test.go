@@ -7,11 +7,14 @@ import (
 
 // chanExchanger is a minimal Exchanger for cluster tests: messages are
 // (time, destination shard, fn) triples buffered by the test and injected at
-// Flush. The tests' outcomes do not depend on injection order.
+// Flush, each counting xchBytes wire bytes. The tests' outcomes do not depend
+// on injection order.
 type chanExchanger struct {
 	c    *Cluster
 	msgs []xchMsg
 }
+
+const xchBytes = 8
 
 type xchMsg struct {
 	at  Time
@@ -23,7 +26,7 @@ func (x *chanExchanger) post(at Time, dst int, fn func()) {
 	x.msgs = append(x.msgs, xchMsg{at: at, dst: dst, fn: fn})
 }
 
-func (x *chanExchanger) Flush(horizon Time) (int, Time) {
+func (x *chanExchanger) Flush(horizon Time) (int, int) {
 	keep := x.msgs[:0]
 	for _, m := range x.msgs {
 		if m.at <= horizon {
@@ -32,14 +35,19 @@ func (x *chanExchanger) Flush(horizon Time) (int, Time) {
 			keep = append(keep, m)
 		}
 	}
+	injected := len(x.msgs) - len(keep)
 	x.msgs = keep
+	return injected, injected * xchBytes
+}
+
+func (x *chanExchanger) Pending() (int, Time) {
 	var earliest Time
-	for i, m := range keep {
+	for i, m := range x.msgs {
 		if i == 0 || m.at < earliest {
 			earliest = m.at
 		}
 	}
-	return len(keep), earliest
+	return len(x.msgs), earliest
 }
 
 func TestClusterShardZeroMatchesPlainEngine(t *testing.T) {
@@ -84,8 +92,8 @@ func TestClusterWindowedCompletion(t *testing.T) {
 
 func TestClusterDrainsLateBufferedMessages(t *testing.T) {
 	// A message buffered during the final window — when every engine queue
-	// is empty afterwards — must still be delivered: the scheduler re-probes
-	// the exchanger after each window.
+	// is empty afterwards — must still be delivered: the scheduler reads the
+	// exchanger's earliest pending arrival before each window.
 	c := NewCluster(1, 2, Time(10))
 	ex := &chanExchanger{c: c}
 	delivered := false
@@ -257,6 +265,73 @@ func TestClusterWindowObserver(t *testing.T) {
 	}
 	if events != c.Executed() {
 		t.Fatalf("observed %d events, cluster executed %d", events, c.Executed())
+	}
+}
+
+// countingExchanger wraps chanExchanger to log each Flush: how many
+// messages were buffered before it and how many it injected.
+type countingExchanger struct {
+	chanExchanger
+	before, injected []int
+}
+
+func (x *countingExchanger) Flush(horizon Time) (int, int) {
+	n := len(x.msgs)
+	injected, bytes := x.chanExchanger.Flush(horizon)
+	x.before = append(x.before, n)
+	x.injected = append(x.injected, injected)
+	return injected, bytes
+}
+
+// TestClusterFlushesOncePerWindow pins the barrier's call pattern: Run calls
+// Flush exactly once per executed window, and each WindowRecord carries that
+// flush's census — the messages buffered before it, the ones it injected, and
+// their bytes.
+func TestClusterFlushesOncePerWindow(t *testing.T) {
+	const shards = 3
+	c := NewCluster(13, shards, Time(20))
+	cap := &windowCapture{}
+	c.SetWindowObserver(cap)
+	ex := &countingExchanger{chanExchanger: chanExchanger{c: c}}
+	posted := 0
+	for s := 0; s < shards; s++ {
+		s := s
+		rounds := 0
+		var tick func()
+		tick = func() {
+			rounds++
+			if rounds < 30 {
+				c.Engine(s).Schedule(Time(1+s%2), tick)
+			}
+			if rounds%3 == s {
+				for k := 0; k <= s; k++ {
+					posted++
+					ex.post(c.Engine(s).Now()+20+Time(k*7), (s+1)%shards, func() {})
+				}
+			}
+		}
+		c.Engine(s).Schedule(Time(1+s), tick)
+	}
+	// A message buffered before the run anchors the first window on its own.
+	posted++
+	ex.post(40, 2, func() {})
+	if err := c.Run(1, ex); err != nil {
+		t.Fatal(err)
+	}
+	if len(ex.injected) != len(cap.recs) || len(cap.recs) == 0 {
+		t.Fatalf("%d flushes for %d windows, want one per window", len(ex.injected), len(cap.recs))
+	}
+	total, retained := 0, false
+	for i, r := range cap.recs {
+		if r.Injected != ex.injected[i] || r.MergedBytes != xchBytes*ex.injected[i] || r.Retained != ex.before[i] {
+			t.Fatalf("window %d: census %d injected / %d bytes / %d retained, want %d / %d / %d",
+				i, r.Injected, r.MergedBytes, r.Retained, ex.injected[i], xchBytes*ex.injected[i], ex.before[i])
+		}
+		total += r.Injected
+		retained = retained || r.Retained > r.Injected
+	}
+	if total != posted || !retained {
+		t.Fatalf("windows injected %d of %d posted messages (any kept past a window: %v)", total, posted, retained)
 	}
 }
 

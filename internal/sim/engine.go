@@ -325,11 +325,7 @@ func (e *Engine) pop() (Time, int32) {
 
 // Schedule runs fn after delay cycles. A zero delay fires in the current
 // cycle, after all previously scheduled events for this cycle.
-func (e *Engine) Schedule(delay Time, fn func()) {
-	idx := e.allocSlot()
-	e.slots[idx].fn = fn
-	e.enqueue(e.now+delay, idx)
-}
+func (e *Engine) Schedule(delay Time, fn func()) { e.ScheduleAt(e.now+delay, fn) }
 
 // ScheduleAt runs fn at absolute time at. Scheduling in the past is an
 // implementation bug, so it panics.
@@ -348,12 +344,7 @@ func (e *Engine) ScheduleAt(at Time, fn func()) {
 // delivery performs no allocation (fn is a long-lived per-node handler and
 // payload is already an interface at the call site).
 func (e *Engine) ScheduleDeliver(delay Time, fn DeliverFunc, src uint64, payload any) {
-	idx := e.allocSlot()
-	s := &e.slots[idx]
-	s.deliver = fn
-	s.src = src
-	s.payload = payload
-	e.enqueue(e.now+delay, idx)
+	e.ScheduleDeliverAt(e.now+delay, fn, src, payload)
 }
 
 // ScheduleDeliverAt is ScheduleDeliver at an absolute time: the cluster
