@@ -76,7 +76,9 @@ func scale(base cord.KVService, mult float64) cord.KVService {
 // -compare all four protocols run; otherwise only -proto does. When exactly
 // one (protocol, load) point runs, -trace-out/-metrics-out export its event
 // stream and metrics (analyze the stream with `cordtrace requests`). Bad
-// -kv-* values exit 2 before any output, quoting the unscaled values given.
+// -kv-* values, and a service that does not fit the system (-hosts 1, more
+// -kv-servers than cores per host), exit 2 before any output, quoting the
+// unscaled values given.
 func runKV(f kvFlags, p cord.Protocol, sys cord.System, compare bool, seed int64,
 	traceOut, metricsOut string, traceSample int) {
 	loads, err := parseLoads(f.loads)
@@ -87,6 +89,10 @@ func runKV(f kvFlags, p cord.Protocol, sys cord.System, compare bool, seed int64
 	base := f.config(seed)
 	if err := base.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "cordsim: bad -kv-* flags: %v\n", err)
+		os.Exit(2)
+	}
+	if err := cord.ValidateKVFabric(base, sys); err != nil {
+		fmt.Fprintf(os.Stderr, "cordsim: kvsvc does not fit the system: %v\n", err)
 		os.Exit(2)
 	}
 	protocols := []cord.Protocol{p}

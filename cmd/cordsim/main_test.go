@@ -11,8 +11,9 @@ import (
 
 // TestNegativeSizeExitsTwo runs main in a child process: a negative -hosts,
 // -cores, -mesh or -kv-arrival, a -trace-sample below 1, an unknown -fabric,
-// or any other bad -kv-* value must fail with a message quoting the value as
-// given and exit status 2, before any simulation starts or output is printed.
+// any other bad -kv-* value, or a KV service that does not fit the system
+// must fail with a message quoting the value as given and exit status 2,
+// before any simulation starts or output is printed.
 func TestNegativeSizeExitsTwo(t *testing.T) {
 	if args := os.Getenv("CORDSIM_TEST_ARGS"); args != "" {
 		os.Args = append([]string{"cordsim"}, strings.Fields(args)...)
@@ -35,6 +36,9 @@ func TestNegativeSizeExitsTwo(t *testing.T) {
 		{"-workload kvsvc -kv-shards 0", "Shards 0 outside"},
 		{"-workload kvsvc -kv-servers 0", "ServersPerHost 0 < 1"},
 		{"-workload kvsvc -kv-loads 1,-2", `bad load multiplier "-2"`},
+		{"-workload kvsvc -hosts 1", "need >= 2 hosts for replication, have 1"},
+		{"-workload kvsvc -kv-servers 9", "ServersPerHost 9 exceeds 8 tiles per host"},
+		{"-workload kvsvc -cores 4 -kv-servers 5", "ServersPerHost 5 exceeds 4 tiles per host"},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeSizeExitsTwo$")
 		cmd.Env = append(os.Environ(), "CORDSIM_TEST_ARGS="+tc.args)

@@ -80,11 +80,7 @@ func (c *checker) heat(w *world) addrHeat {
 				h.readers[op.Addr] = true
 			}
 		}
-		for _, vals := range w.procs[p].wb.Dirty {
-			for a := range vals {
-				h.writers[a]++
-			}
-		}
+		w.procs[p].wb.EachDirtyWord(func(a, _ uint64) { h.writers[a]++ })
 	}
 	scan := func(ms []core.Msg) {
 		for _, m := range ms {

@@ -300,14 +300,14 @@ func (c *checker) wbOp(w *world, p int, op Op) (*world, stepKind) {
 		if !ps.wb.CanFlush() {
 			return nil, stepUnsafe
 		}
-		if len(ps.wb.Dirty) > 0 {
+		if ps.wb.Dirty() {
 			s := w.clone()
 			sp := &s.procs[p]
-			sp.wb.FlushLines(func(_ uint64, vals map[uint64]uint64) {
-				for a, v := range vals {
+			sp.wb.FlushLines(func(l *core.WBLine) {
+				l.Each(func(a, v uint64) {
 					s.net = append(s.net, core.Msg{Kind: core.MWBData, Src: p,
 						Dir: c.home(Addr(a)), Addr: a, Val: v})
-				}
+				})
 			})
 			// Moves p's dirty table onto the wire; CanFlush held (no fills
 			// in flight) so no concurrent transition touches the same state.

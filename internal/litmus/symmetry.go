@@ -453,24 +453,7 @@ func permProc(ps *procState, g *perm) procState {
 			np.mp.Seq[g.dirs[d]] = s
 		}
 	}
-	if ps.wb.Owned != nil {
-		wb := core.NewWBProc()
-		wb.MSHR, wb.Pending = ps.wb.MSHR, ps.wb.Pending
-		for l := range ps.wb.Owned {
-			wb.Owned[g.addr64(l)] = true
-		}
-		for l := range ps.wb.Fetching {
-			wb.Fetching[g.addr64(l)] = true
-		}
-		for l, vals := range ps.wb.Dirty {
-			nv := make(map[uint64]uint64, len(vals))
-			for a, v := range vals {
-				nv[g.addr64(a)] = g.val64(v)
-			}
-			wb.Dirty[g.addr64(l)] = nv
-		}
-		np.wb = wb
-	}
+	np.wb = ps.wb.Relabel(g.addr64, g.val64)
 	return np
 }
 

@@ -66,8 +66,6 @@ func newWorld(t Test, cfg Config) *world {
 			ps.cord = core.NewCordProc(MaxDirs)
 		case MPP:
 			ps.mp = core.NewMPProc(MaxDirs)
-		case WBP:
-			ps.wb = core.NewWBProc()
 		}
 	}
 	for d := range w.dirs {
@@ -89,9 +87,7 @@ func (w *world) clone() *world {
 		ps := &nw.procs[i]
 		ps.cord = ps.cord.Clone()
 		ps.mp = ps.mp.Clone()
-		if ps.wb.Owned != nil {
-			ps.wb = ps.wb.Clone()
-		}
+		ps.wb = ps.wb.Clone()
 	}
 	for i := range nw.dirs {
 		ds := &nw.dirs[i]
@@ -103,7 +99,7 @@ func (w *world) clone() *world {
 
 // appendKey appends the state's canonical compact binary encoding for the
 // visited set (DESIGN.md §10). Multisets (the network, the directory recycle
-// buffers, the MP ordering-point queues, the PE tables, the WB maps) are
+// buffers, the MP ordering-point queues, the PE tables, the WB line sets) are
 // encoded order-independently by the core Append*Binary canonicalizers;
 // everything else is emitted in a fixed field order, length-prefixed where
 // variable, so the encoding is injective on the logical state. The parent

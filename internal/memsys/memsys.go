@@ -12,6 +12,7 @@ package memsys
 import (
 	"fmt"
 
+	"cord/internal/addrtab"
 	"cord/internal/noc"
 	"cord/internal/sim"
 )
@@ -99,21 +100,30 @@ func DefaultTiming() Timing {
 // written into the co-located LLC slice.
 func (t Timing) CommitLatency() sim.Time { return t.DirCycles + t.LLCCycles }
 
-// Store is a functional memory cell update; the simulator tracks only the
-// values that synchronization depends on (flags), in a per-directory map.
-// Memory values are monotonically increasing counters in all workloads,
-// which lets acquire-side polling be expressed as "wait until >= N".
+// Store is a directory slice's functional LLC contents: the committed word
+// of every address homed on the slice that a Relaxed store, Release store,
+// far atomic or write-back has reached. Memory values are monotonically
+// increasing counters in all workloads, which lets acquire-side polling be
+// expressed as "wait until >= N" and commits merge by Max. The cells live
+// in a flat open-addressing table (addrtab.Table).
 type Store struct {
-	vals map[Addr]uint64
+	cells addrtab.Table
 }
 
 // NewStore returns an empty functional memory.
-func NewStore() *Store {
-	return &Store{vals: make(map[Addr]uint64)}
-}
+func NewStore() *Store { return &Store{} }
 
 // Write commits value to addr.
-func (s *Store) Write(a Addr, v uint64) { s.vals[a] = v }
+func (s *Store) Write(a Addr, v uint64) { s.cells.Write(uint64(a), v) }
+
+// Max raises addr's value to v if v is larger, in one probe: a late older
+// store must not regress a counter.
+func (s *Store) Max(a Addr, v uint64) { s.cells.Max(uint64(a), v) }
 
 // Read returns the committed value at addr (zero if never written).
-func (s *Store) Read(a Addr) uint64 { return s.vals[a] }
+func (s *Store) Read(a Addr) uint64 { return s.cells.Read(uint64(a)) }
+
+// Each calls fn for every written cell, in no particular order.
+func (s *Store) Each(fn func(a Addr, v uint64)) {
+	s.cells.Each(func(a, v uint64) { fn(Addr(a), v) })
+}

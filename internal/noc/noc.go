@@ -263,6 +263,20 @@ type Network struct {
 	// the configured bandwidth is fractional and serialization falls back
 	// to float ceil.
 	linkWhole uint64
+
+	// Geometry tables, so that a send divides nothing: nodes inverts
+	// nodeIndex, tiles holds each tile's mesh position, and linkCycles is
+	// one inter-host link traversal.
+	nodes      []NodeID
+	tiles      []tileGeom
+	linkCycles sim.Time
+}
+
+// tileGeom is a tile's mesh column and row, and its mesh latency to the
+// inter-host port tile in cycles.
+type tileGeom struct {
+	col, row int32
+	port     sim.Time
 }
 
 // New creates a network with every host on one engine, accounting all
@@ -305,6 +319,17 @@ func NewPartitioned(engines []*sim.Engine, cfg Config, traffics []*stats.Traffic
 	if bpc := cfg.LinkBytesPerCycle; bpc >= 1 && bpc == math.Trunc(bpc) {
 		n.linkWhole = uint64(bpc)
 	}
+	n.nodes = make([]NodeID, len(n.handlers))
+	for i := range n.nodes {
+		n.nodes[i] = NodeID{Host: (i >> 1) / cfg.TilesPerHost, Tile: (i >> 1) % cfg.TilesPerHost,
+			Kind: NodeKind(i & 1)}
+	}
+	n.tiles = make([]tileGeom, cfg.TilesPerHost)
+	for t := range n.tiles {
+		n.tiles[t] = tileGeom{col: int32(t % cfg.MeshCols), row: int32(t / cfg.MeshCols),
+			port: sim.Time(cfg.meshHops(t, cfg.PortTile)) * cfg.HopCycles}
+	}
+	n.linkCycles = sim.FromNanos(cfg.InterHostNs)
 	return n
 }
 
@@ -341,11 +366,7 @@ func (n *Network) recOf(h int) *obs.Recorder {
 }
 
 // nodeAt inverts nodeIndex.
-func (n *Network) nodeAt(idx int32) NodeID {
-	i := int(idx)
-	return NodeID{Host: (i >> 1) / n.cfg.TilesPerHost, Tile: (i >> 1) % n.cfg.TilesPerHost,
-		Kind: NodeKind(i & 1)}
-}
+func (n *Network) nodeAt(idx int32) NodeID { return n.nodes[idx] }
 
 // Register installs the delivery handler for node id.
 func (n *Network) Register(id NodeID, h Handler) {
@@ -366,7 +387,7 @@ func (n *Network) Register(id NodeID, h Handler) {
 // for the switch star, the minimum ring distance times the link latency for
 // the ring.
 func (n *Network) interHostOneWay(src, dst int) sim.Time {
-	link := sim.FromNanos(n.cfg.InterHostNs)
+	link := n.linkCycles
 	if n.cfg.Topology != Ring {
 		return link
 	}
@@ -384,11 +405,18 @@ func (n *Network) interHostOneWay(src, dst int) sim.Time {
 // excluding serialization and jitter. Exported for analytical checks in
 // tests and for the Fig. 5 hop-count validation.
 func (n *Network) Latency(from, to NodeID) sim.Time {
+	a, b := &n.tiles[from.Tile], &n.tiles[to.Tile]
 	if from.Host == to.Host {
-		return sim.Time(n.cfg.meshHops(from.Tile, to.Tile)) * n.cfg.HopCycles
+		dx, dy := a.col-b.col, a.row-b.row
+		if dx < 0 {
+			dx = -dx
+		}
+		if dy < 0 {
+			dy = -dy
+		}
+		return sim.Time(dx+dy) * n.cfg.HopCycles
 	}
-	hops := n.cfg.meshHops(from.Tile, n.cfg.PortTile) + n.cfg.meshHops(n.cfg.PortTile, to.Tile)
-	return sim.Time(hops)*n.cfg.HopCycles + n.interHostOneWay(from.Host, to.Host)
+	return a.port + b.port + n.interHostOneWay(from.Host, to.Host)
 }
 
 // serialization returns the cycles a message of the given size occupies an
@@ -456,11 +484,11 @@ func (n *Network) Send(src, dst NodeID, class stats.MsgClass, bytes int, payload
 		n.seqs[sh]++
 		at := eng.Now() + delay
 		i := n.cal.slot(at)
-		n.cal.slab[i] = xmsg{
-			at: at, seq: n.seqs[sh], srcHost: int32(sh),
-			dstIdx: int32(idx), traced: traced, src: packID(src),
-			class: class, bytes: int32(bytes), dur: delay, payload: payload,
-		}
+		// Field by field: a composite literal would be built on the stack
+		// and then copied into the slot.
+		m := &n.cal.slab[i]
+		m.at, m.seq, m.srcHost, m.dstIdx, m.traced, m.src = at, n.seqs[sh], int32(sh), int32(idx), traced, packID(src)
+		m.class, m.bytes, m.next, m.dur, m.payload = class, int32(bytes), 0, delay, payload
 		n.cal.place(i)
 		return
 	}

@@ -272,10 +272,10 @@ func TestWBFlushDiscipline(t *testing.T) {
 	p.Fill(64)
 	p.RecordDirty(128, 128, 2)
 	var lines []uint64
-	p.FlushLines(func(l uint64, vals map[uint64]uint64) {
-		lines = append(lines, l)
-		if l == 64 && vals[72] != 5 {
-			t.Fatalf("max-merge lost a value: %v", vals)
+	p.FlushLines(func(l *WBLine) {
+		lines = append(lines, l.Line)
+		if l.Line == 64 && (l.Mask>>8&1 == 0 || l.Vals[8] != 5) {
+			t.Fatalf("max-merge lost a value: mask %#x, word %d", l.Mask, l.Vals[8])
 		}
 	})
 	if len(lines) != 2 || lines[0] != 64 || lines[1] != 128 {
@@ -284,7 +284,7 @@ func TestWBFlushDiscipline(t *testing.T) {
 	if p.Pending != 2 || p.Drained() {
 		t.Fatal("each flushed line awaits an ack")
 	}
-	if !p.Owned[64] {
+	if !p.Owned(64) {
 		t.Fatal("write-back retains ownership")
 	}
 	p.NoteAck()

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 )
 
 // This file gives every protocol state struct a compact, canonical binary
@@ -13,7 +14,7 @@ import (
 //     bytes. Every variable-length section is length-prefixed and the field
 //     layout is fixed, so the byte stream parses unambiguously.
 //   - Canonical: two logically equal states always encode to the same bytes.
-//     Multisets (message sets, directory PE tables, write-back map state)
+//     Multisets (message sets, directory PE tables, write-back line sets)
 //     are sorted into a canonical order before emission, so the arrival
 //     interleaving that built the state leaves no imprint.
 //   - Allocation-free on the hot paths: every Append* method appends to a
@@ -143,23 +144,47 @@ func (o *MPOrderer) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// AppendBinary appends the write-back processor state. Map iteration order
-// is canonicalized by sorting the keys; WB states are rare and tiny (a
-// handful of lines), so the per-call key slices do not matter.
+// AppendBinary appends the write-back processor state: the owned and the
+// fetching lines as ascending sets, then the dirty lines ascending, each with
+// its (addr, val) words ascending.
 func (p *WBProc) AppendBinary(buf []byte) []byte {
 	buf = appendI32(buf, int32(p.MSHR))
 	buf = appendI32(buf, int32(p.Pending))
-	buf = appendSet(buf, p.Owned)
-	buf = appendSet(buf, p.Fetching)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Dirty)))
-	for _, line := range sortedKeys(p.Dirty) {
-		vals := p.Dirty[line]
-		buf = binary.BigEndian.AppendUint64(buf, line)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(vals)))
-		for _, a := range sortedKeys(vals) {
+	buf = p.appendLineSet(buf, wbOwned)
+	buf = p.appendLineSet(buf, wbFetching)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.recs)))
+	for r := p.head; r != nil; r = r.next {
+		buf = binary.BigEndian.AppendUint64(buf, r.Line)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(bits.OnesCount64(r.Mask)))
+		r.Each(func(a, v uint64) {
 			buf = binary.BigEndian.AppendUint64(buf, a)
-			buf = binary.BigEndian.AppendUint64(buf, vals[a])
+			buf = binary.BigEndian.AppendUint64(buf, v)
+		})
+	}
+	return buf
+}
+
+// appendLineSet appends the lines in ownership state st: a count, then the
+// lines ascending. It selects each next line by a scan of the table, which
+// allocates nothing; WB states hold a handful of lines.
+func (p *WBProc) appendLineSet(buf []byte, st uint64) []byte {
+	n := 0
+	p.lines.Each(func(_, w uint64) {
+		if w&wbStateMask == st {
+			n++
 		}
+	})
+	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+	var prev uint64
+	for i := 0; i < n; i++ {
+		next, found := uint64(0), false
+		p.lines.Each(func(l, w uint64) {
+			if w&wbStateMask == st && (i == 0 || l > prev) && (!found || l < next) {
+				next, found = l, true
+			}
+		})
+		buf = binary.BigEndian.AppendUint64(buf, next)
+		prev = next
 	}
 	return buf
 }
@@ -193,39 +218,6 @@ func appendBool(buf []byte, b bool) []byte {
 		return append(buf, 1)
 	}
 	return append(buf, 0)
-}
-
-func appendSet(buf []byte, set map[uint64]bool) []byte {
-	n := 0
-	for _, ok := range set {
-		if ok {
-			n++
-		}
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
-	for _, k := range sortedKeys(set) {
-		if set[k] {
-			buf = binary.BigEndian.AppendUint64(buf, k)
-		}
-	}
-	return buf
-}
-
-func sortedKeys[V any](m map[uint64]V) []uint64 {
-	if len(m) == 0 {
-		return nil
-	}
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	// Insertion sort: the maps hold at most a few lines/addresses.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j-1] > keys[j]; j-- {
-			keys[j-1], keys[j] = keys[j], keys[j-1]
-		}
-	}
-	return keys
 }
 
 // sortChunks sorts fixed-size byte records in place (insertion sort: the

@@ -128,13 +128,22 @@ func TestPETablePermutationInvariant(t *testing.T) {
 	}
 }
 
-// TestWBSetCanonical: a map entry explicitly set to false must encode the
-// same as an absent entry (WBProc tracks ownership with map[uint64]bool).
+// TestWBSetCanonical: a line the table holds without an ownership state (a
+// store recorded and flushed without a fetch) must encode the same as a line
+// never touched, so the owned and fetching sets list owned and fetching lines
+// only.
 func TestWBSetCanonical(t *testing.T) {
-	with := appendSet(nil, map[uint64]bool{1: true, 2: false, 3: true})
-	without := appendSet(nil, map[uint64]bool{3: true, 1: true})
-	if !bytes.Equal(with, without) {
-		t.Fatal("false map entries leak into the set encoding")
+	with := NewWBProc()
+	with.BeginFetch(64)
+	with.Fill(64)
+	with.RecordDirty(128, 128, 1)
+	with.FlushLines(func(*WBLine) {})
+	without := NewWBProc()
+	without.BeginFetch(64)
+	without.Fill(64)
+	without.NoteFlag()
+	if !bytes.Equal(with.AppendBinary(nil), without.AppendBinary(nil)) {
+		t.Fatal("a stateless line leaks into the set encoding")
 	}
 }
 

@@ -2,7 +2,66 @@ package core
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
+
+	"cord/internal/addrtab"
+)
+
+// WBLineBytes is the write-back granularity, memsys.LineBytes (core imports
+// no simulator package; the wb adapter's tests pin the two equal).
+const WBLineBytes = 64
+
+// WBLine is one dirty line's write diff, as in TreadMarks-style DSM: the
+// words stored since the line's last write-back, by byte offset. Bit i of
+// Mask says a word starts at Line+i, and Vals[i] holds it; a word with its
+// bit clear is absent, whatever Vals holds. Records are recycled: the flush
+// hands each one to its caller, which returns it with WBProc.Recycle once
+// the write-back is done with it.
+type WBLine struct {
+	Line uint64
+	Mask uint64
+	Vals [WBLineBytes]uint64
+	// Tag identifies the write-back in flight (the simulator's message tag).
+	Tag uint64
+
+	next *WBLine // the next dirty line up, in WBProc's ascending list
+}
+
+// merge applies a store of val at byte offset off: values merge
+// monotonically (max), and an absent word counts as 0, so a store of 0
+// leaves the line dirty without adding a word.
+func (l *WBLine) merge(off, val uint64) {
+	if off >= WBLineBytes {
+		panic(fmt.Sprintf("core: WB store at offset %d of line %#x", off, l.Line))
+	}
+	bit := uint64(1) << off
+	if l.Mask&bit == 0 {
+		if val == 0 {
+			return
+		}
+		l.Mask |= bit
+	} else if val <= l.Vals[off] {
+		return
+	}
+	l.Vals[off] = val
+}
+
+// Each calls fn for every word of the line in ascending address order.
+func (l *WBLine) Each(fn func(addr, val uint64)) {
+	for m := l.Mask; m != 0; m &= m - 1 {
+		off := bits.TrailingZeros64(m)
+		fn(l.Line+uint64(off), l.Vals[off])
+	}
+}
+
+// Line table words: the low byte is the line's ownership state, and the
+// bits above it hold the dirty record's position in WBProc.recs plus one
+// (0 while the line is clean).
+const (
+	wbFetching  = 1
+	wbOwned     = 2
+	wbStateMask = 0xff
+	wbRecShift  = 8
 )
 
 // WBProc is the write-back baseline's processor-side protocol state:
@@ -10,40 +69,45 @@ import (
 // write-back, and the flush discipline that source-orders a release
 // (dirty lines are written back and acknowledged before the flag store
 // issues — the §4.4 comparison point for CORD).
+//
+// The zero WBProc is empty and ready to use.
 type WBProc struct {
-	Owned    map[uint64]bool
-	Fetching map[uint64]bool
-	Dirty    map[uint64]map[uint64]uint64 // line -> addr -> value
-	MSHR     int                          // outstanding ownership fetches
-	Pending  int                          // outstanding write-back / flag acks
+	// lines maps each line the processor has touched to its table word.
+	lines addrtab.Table
+	// recs are the dirty lines' records in the order they became dirty (the
+	// line table indexes them); head starts the same records linked in
+	// ascending line order, and last is the record linked most recently.
+	recs       []*WBLine
+	head, last *WBLine
+	// spare are recycled records.
+	spare []*WBLine
+
+	MSHR    int // outstanding ownership fetches
+	Pending int // outstanding write-back / flag acks
 }
 
 // NewWBProc returns empty write-back processor state.
-func NewWBProc() WBProc {
-	return WBProc{
-		Owned:    make(map[uint64]bool),
-		Fetching: make(map[uint64]bool),
-		Dirty:    make(map[uint64]map[uint64]uint64),
-	}
-}
+func NewWBProc() WBProc { return WBProc{} }
 
-// Clone deep-copies the state (model-checker world forking).
+// Clone deep-copies the state (model-checker world forking). Cloning the
+// zero WBProc allocates nothing.
 func (p *WBProc) Clone() WBProc {
-	c := NewWBProc()
-	c.MSHR, c.Pending = p.MSHR, p.Pending
-	for l := range p.Owned {
-		c.Owned[l] = true
+	c := WBProc{lines: p.lines.Clone(), MSHR: p.MSHR, Pending: p.Pending}
+	if len(p.recs) == 0 {
+		return c
 	}
-	for l := range p.Fetching {
-		c.Fetching[l] = true
+	c.recs = make([]*WBLine, len(p.recs))
+	for i, r := range p.recs {
+		nr := new(WBLine)
+		*nr = *r
+		c.recs[i] = nr
 	}
-	for l, vals := range p.Dirty {
-		m := make(map[uint64]uint64, len(vals))
-		for a, v := range vals {
-			m[a] = v
-		}
-		c.Dirty[l] = m
+	tail := &c.head
+	for r := p.head; r != nil; r = r.next {
+		nr := c.recs[p.lines.Read(r.Line)>>wbRecShift-1]
+		*tail, tail = nr, &nr.next
 	}
+	*tail = nil
 	return c
 }
 
@@ -58,7 +122,7 @@ const (
 
 // StoreAdmit classifies a relaxed store to line.
 func (p *WBProc) StoreAdmit(mshrs int, line uint64) WBStoreVerdict {
-	if p.Owned[line] || p.Fetching[line] {
+	if p.lines.Read(line)&wbStateMask != 0 {
 		return WBHit
 	}
 	if p.MSHR >= mshrs {
@@ -67,33 +131,78 @@ func (p *WBProc) StoreAdmit(mshrs int, line uint64) WBStoreVerdict {
 	return WBMiss
 }
 
-// RecordDirty merges a store into the line's dirty data. Values merge
-// monotonically (max): the workload's memory cells are flags and counters
-// that only grow, so the largest value is the latest (DESIGN.md §9).
-func (p *WBProc) RecordDirty(line, addr, val uint64) {
-	vals := p.Dirty[line]
-	if vals == nil {
-		vals = make(map[uint64]uint64)
-		p.Dirty[line] = vals
-	}
-	if val > vals[addr] {
-		vals[addr] = val
-	}
+// Owned reports whether the processor owns line.
+func (p *WBProc) Owned(line uint64) bool { return p.lines.Read(line)&wbStateMask == wbOwned }
+
+// Fetching reports whether an ownership fetch for line is outstanding.
+func (p *WBProc) Fetching(line uint64) bool {
+	return p.lines.Read(line)&wbStateMask == wbFetching
 }
+
+// Dirty reports whether any line awaits write-back.
+func (p *WBProc) Dirty() bool { return len(p.recs) > 0 }
+
+// RecordDirty merges a store of val at addr into line's dirty data. Values
+// merge monotonically (max): the workload's memory cells are flags and
+// counters that only grow, so the largest value is the latest (DESIGN.md
+// §9). addr must lie within the line's WBLineBytes.
+func (p *WBProc) RecordDirty(line, addr, val uint64) {
+	p.record(line).merge(addr-line, val)
+}
+
+// record returns line's dirty record, starting one if the line is clean.
+func (p *WBProc) record(line uint64) *WBLine {
+	w := p.lines.Ref(line)
+	if i := *w >> wbRecShift; i != 0 {
+		return p.recs[i-1]
+	}
+	r := p.newRecord(line)
+	*w |= uint64(len(p.recs)) << wbRecShift
+	return r
+}
+
+// newRecord starts line's dirty record and links it into the ascending
+// list. Stores come in ascending runs (a buffer at a time), so the record
+// usually goes right after the last one linked; a run that starts lower
+// walks from the head.
+func (p *WBProc) newRecord(line uint64) *WBLine {
+	var r *WBLine
+	if n := len(p.spare); n > 0 {
+		r, p.spare = p.spare[n-1], p.spare[:n-1]
+	} else {
+		r = new(WBLine)
+	}
+	r.Line, r.Mask, r.Tag = line, 0, 0
+	link := &p.head
+	if p.last != nil && p.last.Line < line {
+		link = &p.last.next
+	}
+	for *link != nil && (*link).Line < line {
+		link = &(*link).next
+	}
+	r.next, *link = *link, r
+	p.last = r
+	p.recs = append(p.recs, r)
+	return r
+}
+
+// Recycle returns a flushed record for reuse once its write-back is done.
+func (p *WBProc) Recycle(r *WBLine) { p.spare = append(p.spare, r) }
 
 // BeginFetch starts an ownership fetch for line (caller checked StoreAdmit).
 func (p *WBProc) BeginFetch(line uint64) {
-	p.Fetching[line] = true
+	w := p.lines.Ref(line)
+	*w = *w&^wbStateMask | wbFetching
 	p.MSHR++
 }
 
 // Fill completes an ownership fetch.
 func (p *WBProc) Fill(line uint64) {
-	if !p.Fetching[line] {
+	w := p.lines.Ref(line)
+	if *w&wbStateMask != wbFetching {
 		panic(fmt.Sprintf("core: WB fill for line %#x not being fetched", line))
 	}
-	delete(p.Fetching, line)
-	p.Owned[line] = true
+	*w = *w&^wbStateMask | wbOwned
 	p.MSHR--
 }
 
@@ -101,25 +210,56 @@ func (p *WBProc) Fill(line uint64) {
 // every dirty line's data is complete.
 func (p *WBProc) CanFlush() bool { return p.MSHR == 0 }
 
-// FlushLines drains the dirty table in ascending line order, invoking emit
-// once per line with its merged values; each write-back expects an
-// acknowledgment. Ownership is retained (the flush is a data write-back,
-// not an eviction).
-func (p *WBProc) FlushLines(emit func(line uint64, vals map[uint64]uint64)) {
-	if len(p.Dirty) == 0 {
-		return
-	}
-	lines := make([]uint64, 0, len(p.Dirty))
-	for l := range p.Dirty {
-		lines = append(lines, l)
-	}
-	slices.Sort(lines)
-	for _, l := range lines {
-		vals := p.Dirty[l]
-		delete(p.Dirty, l)
+// FlushLines drains the dirty lines in ascending line order, handing each
+// record to emit; each write-back expects an acknowledgment. Ownership is
+// retained (the flush is a data write-back, not an eviction). The records
+// now belong to the caller, who may Recycle them.
+func (p *WBProc) FlushLines(emit func(*WBLine)) {
+	r := p.head
+	p.head, p.last = nil, nil
+	clear(p.recs)
+	p.recs = p.recs[:0]
+	for r != nil {
+		next := r.next
+		r.next = nil
+		*p.lines.Ref(r.Line) &= wbStateMask
 		p.Pending++
-		emit(l, vals)
+		emit(r)
+		r = next
 	}
+}
+
+// EachDirtyWord calls fn for every dirty word, by ascending address.
+func (p *WBProc) EachDirtyWord(fn func(addr, val uint64)) {
+	for r := p.head; r != nil; r = r.next {
+		r.Each(fn)
+	}
+}
+
+// Relabel returns a copy of the state with every address mapped through
+// addr and every dirty value through val (the model checker's symmetry
+// permutations). A word keeps its mapped value even where max-merging would
+// drop it.
+func (p *WBProc) Relabel(addr, val func(uint64) uint64) WBProc {
+	q := WBProc{MSHR: p.MSHR, Pending: p.Pending}
+	p.lines.Each(func(l, w uint64) {
+		if st := w & wbStateMask; st != 0 {
+			*q.lines.Ref(addr(l)) |= st
+		}
+	})
+	for r := p.head; r != nil; r = r.next {
+		line := addr(r.Line)
+		nr := q.record(line)
+		r.Each(func(a, v uint64) {
+			off := addr(a) - line
+			if off >= WBLineBytes {
+				panic(fmt.Sprintf("core: WB relabel moves %#x off line %#x", addr(a), line))
+			}
+			nr.Mask |= 1 << off
+			nr.Vals[off] = val(v)
+		})
+	}
+	return q
 }
 
 // NoteFlag records an issued flag/release store awaiting acknowledgment.

@@ -12,7 +12,7 @@ import (
 )
 
 // DirBase is the protocol-independent half of a directory slice: the
-// functional LLC contents for synchronization flags, and the waiter list
+// functional LLC contents (every committed store), and the waiter list
 // that implements acquire-side polling. Protocol directory types embed it.
 type DirBase struct {
 	Sys *System
@@ -29,8 +29,10 @@ type DirBase struct {
 	// (see Later); the protocol sets it.
 	Commit func(m *core.Msg)
 
-	// waiters are the parked MLoadReq messages, by flag address.
+	// waiters are the parked MLoadReq messages, by flag address; parked
+	// counts them, so a commit with nothing parked skips the lookup.
 	waiters map[memsys.Addr][]*core.Msg
+	parked  int
 	later   sim.DeliverFunc // runLater, bound once so Later allocates nothing
 }
 
@@ -45,9 +47,7 @@ func (d *DirBase) InitBase(sys *System, id noc.NodeID) {
 	d.Store = memsys.NewStore()
 	d.waiters = make(map[memsys.Addr][]*core.Msg)
 	d.later = d.runLater
-	if sys.stores != nil {
-		sys.stores[id] = d.Store
-	}
+	sys.stores[d.Ix] = d.Store
 }
 
 // CommitValue writes v to addr in the LLC slice, monotonically (flags are
@@ -55,9 +55,7 @@ func (d *DirBase) InitBase(sys *System, id noc.NodeID) {
 // wakes any satisfied pollers. The caller is responsible for modeling the
 // commit latency before invoking it.
 func (d *DirBase) CommitValue(addr memsys.Addr, v uint64) {
-	if cur := d.Store.Read(addr); v > cur {
-		d.Store.Write(addr, v)
-	}
+	d.Store.Max(addr, v)
 	if rec := d.Obs; rec.Take() {
 		rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KCommit,
 			Src: d.ID.Obs(), Addr: uint64(addr), Seq: v})
@@ -68,11 +66,15 @@ func (d *DirBase) CommitValue(addr memsys.Addr, v uint64) {
 // wake serves the polls parked on addr again, in place: the satisfied ones
 // are answered, the rest park anew.
 func (d *DirBase) wake(addr memsys.Addr) {
+	if d.parked == 0 {
+		return
+	}
 	ws := d.waiters[addr]
 	if len(ws) == 0 {
 		return
 	}
 	d.waiters[addr] = ws[:0]
+	d.parked -= len(ws)
 	for _, w := range ws {
 		d.serveLoad(w)
 	}
@@ -106,6 +108,7 @@ func (d *DirBase) serveLoad(m *core.Msg) {
 	val := d.Store.Read(addr)
 	if val < m.Val {
 		d.waiters[addr] = append(d.waiters[addr], m)
+		d.parked++
 		return
 	}
 	src := d.Sys.CoreAt(m.Src)

@@ -109,19 +109,16 @@ func TestAdapterAllocsWithinBaseline(t *testing.T) {
 }
 
 // TestAdapterSteadyStateAllocBound pins the steady-state allocation shape
-// directly, independent of the JSON baseline. CORD, SO and MP allocate only
-// at startup, about 0.02/event at 4000 rounds. WB also allocates its per-line
-// dirty maps and write-backs, about 0.6/event.
+// directly, independent of the JSON baseline. Every protocol allocates only
+// at startup, about 0.01-0.02/event at 4000 rounds: wire messages and WB's
+// dirty-line records are recycled.
 func TestAdapterSteadyStateAllocBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full micro workload; skipped in -short")
 	}
 	for _, b := range adapterBuilders() {
 		t.Run(b.Name(), func(t *testing.T) {
-			limit := 0.05
-			if b.Name() == "WB" {
-				limit = 0.7
-			}
+			const limit = 0.05
 			if _, allocs, _ := runMicro(t, b, 4000); allocs > limit {
 				t.Errorf("%s: %.3f allocs/event exceeds the %.2f/event envelope", b.Name(), allocs, limit)
 			}

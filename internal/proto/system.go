@@ -83,12 +83,15 @@ type System struct {
 	// engines and recorders.
 	shardTraffic []stats.Traffic
 
-	// stores indexes every directory slice's LLC store, registered by
-	// DirBase.InitBase, so tests can read back final memory (ReadMem).
-	stores map[noc.NodeID]*memsys.Store
+	// stores holds every directory slice's LLC store by dense index,
+	// registered by DirBase.InitBase, so tests can read back final memory
+	// (ReadMem, Store).
+	stores []*memsys.Store
 
-	// hosts and tiles shape the dense node index (Index).
+	// hosts and tiles shape the dense node index (Index); cores inverts it
+	// for cores, so a reply finds its core without dividing.
 	hosts, tiles int
+	cores        []noc.NodeID
 
 	// free recycles wire messages.
 	free []*core.Msg
@@ -127,9 +130,13 @@ func NewSystem(seed int64, nc noc.Config, mode Mode) *System {
 		Run:          &stats.Run{},
 		cl:           sim.NewCluster(seed, nc.Hosts, nc.Lookahead()),
 		shardTraffic: make([]stats.Traffic, nc.Hosts),
-		stores:       make(map[noc.NodeID]*memsys.Store),
+		stores:       make([]*memsys.Store, nc.Hosts*nc.TilesPerHost),
 		hosts:        nc.Hosts,
 		tiles:        nc.TilesPerHost,
+	}
+	s.cores = make([]noc.NodeID, s.Nodes())
+	for i := range s.cores {
+		s.cores[i] = noc.CoreID(i/s.tiles, i%s.tiles)
 	}
 	traffics := make([]*stats.Traffic, nc.Hosts)
 	for i := range traffics {
@@ -160,12 +167,17 @@ func (s *System) Executed() uint64 { return s.cl.Executed() }
 // final simulator memory against the model checker's allowed outcomes) and
 // must not be called while the engine is running.
 func (s *System) ReadMem(a memsys.Addr) uint64 {
-	st, ok := s.stores[s.Map.HomeOf(a)]
-	if !ok {
+	st := s.stores[s.Index(s.Map.HomeOf(a))]
+	if st == nil {
 		return 0
 	}
 	return st.Read(a)
 }
+
+// Store returns the LLC store of the directory slice with dense index ix, or
+// nil when the protocol built no directory there. Like ReadMem, it is a
+// post-run inspection hook.
+func (s *System) Store(ix int) *memsys.Store { return s.stores[ix] }
 
 // Observe attaches an observability recorder to the system: protocol engines
 // read their host's recorder (ObsOf), the network counts and traces every
@@ -218,10 +230,10 @@ func (s *System) Nodes() int { return s.hosts * s.tiles }
 func (s *System) Index(id noc.NodeID) int { return id.Host*s.tiles + id.Tile }
 
 // CoreAt is Index's inverse for cores.
-func (s *System) CoreAt(ix int) noc.NodeID { return noc.CoreID(ix/s.tiles, ix%s.tiles) }
+func (s *System) CoreAt(ix int) noc.NodeID { return s.cores[ix] }
 
 // DirAt is Index's inverse for directory slices.
-func (s *System) DirAt(ix int) noc.NodeID { return noc.DirID(ix/s.tiles, ix%s.tiles) }
+func (s *System) DirAt(ix int) noc.NodeID { return noc.LocalDir(s.cores[ix]) }
 
 // Dirs enumerates every directory node in the system, in index order.
 func (s *System) Dirs() []noc.NodeID {

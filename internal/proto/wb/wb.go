@@ -27,7 +27,6 @@ package wb
 
 import (
 	"fmt"
-	"slices"
 
 	"cord/internal/memsys"
 	"cord/internal/noc"
@@ -58,18 +57,6 @@ func New() *Protocol { return &Protocol{Cfg: DefaultConfig()} }
 // Name implements proto.Builder.
 func (p *Protocol) Name() string { return "WB" }
 
-// lineData writes a dirty line back to its home directory. Every other WB
-// message is a core.Msg (MWBGetM, MWBFill, MWBFlag, MWBAck). This one is
-// not, because it carries every dirty word of the line: a map in core.Msg
-// would make Msg non-comparable and the checker's message multisets
-// pointerful. The checker sends one MWBData per word instead.
-type lineData struct {
-	Line memsys.Addr
-	Vals map[uint64]uint64
-	Tag  uint64
-	Src  int // the writing core (dense index)
-}
-
 type cpu struct {
 	proto.ProcBase
 	cfg Config
@@ -87,8 +74,10 @@ type cpu struct {
 	// drain into the L1 at full pipeline width, unlike write-through stores
 	// which each occupy a write-combining/egress slot.
 	hitToggle bool
-	// step is Step, bound once so a store hit allocates nothing.
-	step func()
+	// step is Step, bound once so a store hit allocates nothing;
+	// writeBack is sendWriteBack, bound once so a flush allocates nothing.
+	step      func()
+	writeBack func(*core.WBLine)
 
 	// Stall conditions, bound once so that blocking allocates nothing.
 	atomicBusy, mshrFull, fetching, cannotFlush, undrained func() bool
@@ -204,13 +193,7 @@ func (c *cpu) flushed() bool {
 		c.Retry(c.cannotFlush, stats.StallAckWait)
 		return false
 	}
-	c.st.FlushLines(func(line uint64, vals map[uint64]uint64) {
-		c.nextTag++
-		home := c.Sys.Map.HomeOf(memsys.Addr(line))
-		c.Sys.Net.Send(c.ID, home, stats.ClassWriteback,
-			proto.HeaderBytes+memsys.LineBytes,
-			&lineData{Line: memsys.Addr(line), Vals: vals, Tag: c.nextTag, Src: c.Ix})
-	})
+	c.st.FlushLines(c.writeBack)
 	if !c.st.Drained() {
 		c.Retry(c.undrained, stats.StallAckWait)
 		return false
@@ -218,18 +201,31 @@ func (c *cpu) flushed() bool {
 	return true
 }
 
+// sendWriteBack writes one flushed dirty line back to its home directory.
+// The write-back is the line's record itself (core.WBLine, its words by
+// offset), the one WB message that is not a core.Msg; the directory returns
+// it to this core once committed.
+func (c *cpu) sendWriteBack(l *core.WBLine) {
+	c.nextTag++
+	l.Tag = c.nextTag
+	c.Sys.Net.Send(c.ID, c.Sys.Map.HomeOf(memsys.Addr(l.Line)), stats.ClassWriteback,
+		proto.HeaderBytes+memsys.LineBytes, l)
+}
+
 // dir is the WB home directory: grants ownership, absorbs write-backs,
 // commits flags.
 type dir struct {
 	proto.DirBase
-	// writeBack is commitLine, bound once; addrs is its sort scratch.
+	// writeBack is commitLine, bound once.
 	writeBack sim.DeliverFunc
-	addrs     []uint64
+	// cpus are the system's WB cores by dense index, to which committed
+	// write-back records return.
+	cpus []*cpu
 }
 
-func (d *dir) handle(_ noc.NodeID, payload any) {
-	if l, ok := payload.(*lineData); ok {
-		d.Eng.ScheduleDeliver(d.Sys.Timing.CommitLatency(), d.writeBack, 0, l)
+func (d *dir) handle(src noc.NodeID, payload any) {
+	if l, ok := payload.(*core.WBLine); ok {
+		d.Eng.ScheduleDeliver(d.Sys.Timing.CommitLatency(), d.writeBack, uint64(d.Sys.Index(src)), l)
 		return
 	}
 	switch m := payload.(*core.Msg); m.Kind {
@@ -244,20 +240,16 @@ func (d *dir) handle(_ noc.NodeID, payload any) {
 	}
 }
 
-// commitLine commits a written-back line's words in address order and
-// acknowledges the write-back.
-func (d *dir) commitLine(_ uint64, payload any) {
-	l := payload.(*lineData)
-	d.addrs = d.addrs[:0]
-	for a := range l.Vals {
-		d.addrs = append(d.addrs, a)
-	}
-	slices.Sort(d.addrs)
-	for _, a := range d.addrs {
-		d.CommitValue(memsys.Addr(a), l.Vals[a])
-	}
-	d.Sys.Net.Send(d.ID, d.Sys.CoreAt(l.Src), stats.ClassAck, proto.AckBytes,
-		d.Sys.NewMsg(core.Msg{Kind: core.MWBAck, Src: l.Src, Dir: d.Ix, Tag: l.Tag}))
+// commitLine commits a written-back line's words in address order, returns
+// the record to the writing core src (a dense index), and acknowledges the
+// write-back.
+func (d *dir) commitLine(src uint64, payload any) {
+	l := payload.(*core.WBLine)
+	l.Each(func(a, v uint64) { d.CommitValue(memsys.Addr(a), v) })
+	ix, tag := int(src), l.Tag
+	d.cpus[ix].st.Recycle(l)
+	d.Sys.Net.Send(d.ID, d.Sys.CoreAt(ix), stats.ClassAck, proto.AckBytes,
+		d.Sys.NewMsg(core.Msg{Kind: core.MWBAck, Src: ix, Dir: d.Ix, Tag: tag}))
 }
 
 // commit grants ownership or commits a flag, and rewrites the message into
@@ -291,8 +283,9 @@ func (d *dir) commit(m *core.Msg) {
 
 // Build implements proto.Builder.
 func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
+	byIx := make([]*cpu, sys.Nodes())
 	for _, id := range sys.Dirs() {
-		d := &dir{}
+		d := &dir{cpus: byIx}
 		d.InitBase(sys, id)
 		d.Commit = d.commit
 		d.writeBack = d.commitLine
@@ -302,11 +295,13 @@ func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 	for i, id := range cores {
 		c := &cpu{cfg: p.Cfg, st: core.NewWBProc()}
 		c.InitBase(sys, id, &sys.Run.Procs[i])
+		byIx[c.Ix] = c
 		c.Exec = c.exec
 		c.step = c.Step
+		c.writeBack = c.sendWriteBack
 		c.atomicBusy = func() bool { return c.atomicTag != 0 }
 		c.mshrFull = func() bool { return c.st.MSHR >= c.cfg.MSHRs }
-		c.fetching = func() bool { return c.st.Fetching[c.fetchLine] }
+		c.fetching = func() bool { return c.st.Fetching(c.fetchLine) }
 		c.cannotFlush = func() bool { return !c.st.CanFlush() }
 		c.undrained = func() bool { return !c.st.Drained() }
 		sys.Net.Register(id, c.handle)

@@ -6,6 +6,7 @@ import (
 	"cord/internal/memsys"
 	"cord/internal/noc"
 	"cord/internal/proto"
+	"cord/internal/proto/core"
 	"cord/internal/stats"
 )
 
@@ -149,5 +150,13 @@ func TestOwnershipRetainedAcrossEpochs(t *testing.T) {
 	}
 	if got := r.Traffic.InterMsgs[stats.ClassWriteback]; got != 3 {
 		t.Fatalf("writebacks = %d, want 3 (one per epoch)", got)
+	}
+}
+
+// TestLineRecordMatchesLine: core's write-diff records cover exactly one
+// memsys line, so every offset within a line has a word slot.
+func TestLineRecordMatchesLine(t *testing.T) {
+	if core.WBLineBytes != memsys.LineBytes {
+		t.Fatalf("core.WBLineBytes %d, memsys.LineBytes %d", core.WBLineBytes, memsys.LineBytes)
 	}
 }

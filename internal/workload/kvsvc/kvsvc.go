@@ -173,7 +173,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Validate reports structural problems independent of the fabric shape
-// (Build re-validates against the fabric).
+// (ValidateFabric checks it against the fabric).
 func (c Config) Validate() error {
 	switch {
 	case c.ServersPerHost < 1:
@@ -204,6 +204,24 @@ func (c Config) Validate() error {
 	if span := uint64(c.KeysPerShard) * valueSpan(c.ValueBytes); span > maxValueRegion {
 		return fmt.Errorf("kvsvc: KeysPerShard %d x %dB values needs %d bytes, exceeds the %d-byte shard value region",
 			c.KeysPerShard, c.ValueBytes, span, maxValueRegion)
+	}
+	return nil
+}
+
+// ValidateFabric reports the problems that depend on the fabric shape:
+// replication needs two hosts, the servers must fit a host's tiles, and the
+// replica stride must not map a shard onto its owner. Build runs it too.
+func (c Config) ValidateFabric(nc noc.Config) error {
+	c = c.withDefaults()
+	switch {
+	case nc.Hosts < 2:
+		return fmt.Errorf("kvsvc: need >= 2 hosts for replication, have %d", nc.Hosts)
+	case c.ServersPerHost > nc.TilesPerHost:
+		return fmt.Errorf("kvsvc: ServersPerHost %d exceeds %d tiles per host",
+			c.ServersPerHost, nc.TilesPerHost)
+	case c.ReplicaStride%nc.Hosts == 0:
+		return fmt.Errorf("kvsvc: ReplicaStride %d is a multiple of the host count %d (shards would replicate onto their owner)",
+			c.ReplicaStride, nc.Hosts)
 	}
 	return nil
 }
@@ -265,16 +283,8 @@ func (c Config) Build(nc noc.Config) (*Service, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if nc.Hosts < 2 {
-		return nil, fmt.Errorf("kvsvc: need >= 2 hosts for replication, have %d", nc.Hosts)
-	}
-	if cfg.ServersPerHost > nc.TilesPerHost {
-		return nil, fmt.Errorf("kvsvc: ServersPerHost %d exceeds %d tiles per host",
-			cfg.ServersPerHost, nc.TilesPerHost)
-	}
-	if cfg.ReplicaStride%nc.Hosts == 0 {
-		return nil, fmt.Errorf("kvsvc: ReplicaStride %d is a multiple of the host count %d (shards would replicate onto their owner)",
-			cfg.ReplicaStride, nc.Hosts)
+	if err := cfg.ValidateFabric(nc); err != nil {
+		return nil, err
 	}
 	svc := &Service{cfg: cfg}
 	for h := 0; h < nc.Hosts; h++ {

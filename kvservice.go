@@ -104,6 +104,17 @@ func simulateKV(w KVService, p Protocol, s System, rec *obs.Recorder, col *rt.Co
 	return &KVResult{run: run, st: svc.Stats(), offered: svc.OfferedPerCycle()}, nil
 }
 
+// ValidateKVFabric reports whether w fits the system s before anything runs:
+// replication needs two hosts, and a host's servers must fit its cores.
+// KVService's Validate checks the rest of w.
+func ValidateKVFabric(w KVService, s System) error {
+	nc, err := s.netConfig()
+	if err != nil {
+		return err
+	}
+	return w.ValidateFabric(nc)
+}
+
 // SimulateKV runs the KV service under a protocol on a system. Deterministic
 // for a fixed System.Seed and KVService.Seed.
 func SimulateKV(w KVService, p Protocol, s System) (*KVResult, error) {
