@@ -116,13 +116,13 @@ func (t *Table) Each(fn func(a, v uint64)) {
 	}
 }
 
-// Clone returns an independent copy.
-func (t *Table) Clone() Table {
-	c := *t
+// CopyTo makes dst an independent copy of t, reusing dst's slots.
+func (t *Table) CopyTo(dst *Table) {
+	slots := dst.slots
+	*dst = *t
 	if t.slots != nil {
-		c.slots = append([]slot(nil), t.slots...)
+		dst.slots = append(slots[:0], t.slots...)
 	}
-	return c
 }
 
 // grow doubles the slot count (or makes the first allocation) and rehashes.

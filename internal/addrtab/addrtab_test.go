@@ -110,14 +110,20 @@ func TestGrowthKeepsEntries(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
-	var tab Table
+// TestCopyToIsIndependent: a copy into a table that held addresses of its
+// own keeps none of them and shares no slots with the original.
+func TestCopyToIsIndependent(t *testing.T) {
+	var tab, c Table
 	tab.Write(64, 1)
-	c := tab.Clone()
+	c.Write(256, 9)
+	tab.CopyTo(&c)
+	if c.Read(256) != 0 || c.Read(64) != 1 || entries(&c) != 1 {
+		t.Fatal("copy kept the destination's old contents")
+	}
 	c.Write(64, 2)
 	c.Write(128, 3)
 	if tab.Read(64) != 1 || tab.Read(128) != 0 || entries(&tab) != 1 {
-		t.Fatal("clone writes leaked into the original")
+		t.Fatal("copy writes leaked into the original")
 	}
 }
 

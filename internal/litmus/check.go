@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"cord/internal/proto/core"
 )
@@ -18,9 +19,10 @@ type checker struct {
 	cfg Config
 	cp  core.CordParams
 
-	group      []perm
-	por        bool
-	porUnsound bool
+	group         []perm
+	por           bool
+	porUnsound    bool
+	recycleChosen bool
 }
 
 // CheckOpts tunes exploration. The zero value is a serial, fingerprint-mode
@@ -56,12 +58,17 @@ type CheckOpts struct {
 	// treating racing posted-store deliveries as commuting; por_test.go uses
 	// it to show unsound independence loses real forbidden outcomes.
 	porUnsound bool
+	// recycleChosen (tests only) recycles ample's chosen successor while the
+	// chain still uses it; recycle_test.go uses it to show the recycled-world
+	// poison catches a world recycled too early.
+	recycleChosen bool
 }
 
 // MemBudget is a byte budget shared across concurrent checks (cordcheck
-// -mem-limit). The accounting is approximate — per-state structural overhead
-// plus the bytes of retained keys — and cooperative: checks abort with an
-// error once the budget is exhausted.
+// -mem-limit). The accounting is approximate — each admitted state's world,
+// processor, directory and in-flight message structs (worldBytes) plus the
+// bytes of retained keys — and cooperative: checks abort with an error once
+// the budget is exhausted.
 type MemBudget struct {
 	limit int64
 	used  atomic.Int64
@@ -82,10 +89,16 @@ func (b *MemBudget) charge(n int64) bool {
 	return b.used.Add(n) <= b.limit
 }
 
-// worldOverheadBytes approximates the retained size of one explored world
-// (struct, per-proc and per-dir state, parent edge) for MemBudget
-// accounting.
-const worldOverheadBytes = 640
+// worldBytes is the MemBudget charge for admitting w: its world struct plus
+// one procState per processor, one dirState per directory and one core.Msg
+// per in-flight message, and the spanning-tree node that outlives the world.
+// Slice contents inside the core state structs are not counted.
+func worldBytes(w *world) int64 {
+	return int64(unsafe.Sizeof(world{})) + int64(unsafe.Sizeof(node{})) +
+		int64(len(w.procs))*int64(unsafe.Sizeof(procState{})) +
+		int64(len(w.dirs))*int64(unsafe.Sizeof(dirState{})) +
+		int64(len(w.net))*int64(unsafe.Sizeof(core.Msg{}))
+}
 
 // Check exhaustively explores every interleaving of processor steps and
 // message deliveries and returns the reachable terminal outcomes plus the
@@ -96,7 +109,7 @@ func Check(t Test, cfg Config) (Result, error) {
 
 // CheckWith is Check with explicit exploration options: parallel BFS over a
 // sharded fingerprint visited set, per-worker LIFO frontiers with batched
-// hand-off through a shared pool, and parent-edge counterexample recording.
+// hand-off through a shared pool, and spanning-tree counterexample recording.
 func CheckWith(t Test, cfg Config, opts CheckOpts) (Result, error) {
 	if err := t.Validate(); err != nil {
 		return Result{}, err
@@ -110,7 +123,7 @@ func CheckWith(t Test, cfg Config, opts CheckOpts) (Result, error) {
 		workers = 1
 	}
 	c := &checker{t: t, cfg: cfg, cp: cfg.cordParams(),
-		por: opts.POR, porUnsound: opts.porUnsound}
+		por: opts.POR, porUnsound: opts.porUnsound, recycleChosen: opts.recycleChosen}
 	if opts.Symmetry {
 		c.group = symmetryGroup(t, cfg)
 	}
@@ -120,28 +133,35 @@ func CheckWith(t Test, cfg Config, opts CheckOpts) (Result, error) {
 		exact:     opts.Exact,
 		maxStates: maxStates,
 		budget:    opts.MemBudget,
-		outcomes:  make(map[string]Outcome),
+		outcomes:  make(map[Outcome]struct{}),
 	}
 	e.cond = sync.NewCond(&e.mu)
 
 	root := newWorld(t, cfg)
-	key := c.key(root, &kbuf{})
+	key := c.key(root, &scratch{})
 	e.visited.Add(core.Hash64(key), key)
-	if !e.budget.charge(e.stateCost(len(key))) {
+	if !e.budget.charge(e.stateCost(root, len(key))) {
 		return Result{Test: t, Config: cfg}, fmt.Errorf("litmus %s: memory budget exceeded", t.Name)
 	}
 	e.pending.Store(1)
 	e.global = append(e.global, root)
 
+	// The last worker runs in the calling goroutine, so a serial check
+	// starts no goroutine and its allocation count repeats exactly.
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for i := 1; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			e.run()
 		}()
 	}
+	e.run()
 	wg.Wait()
+	outcomes := make(map[string]Outcome, len(e.outcomes))
+	for out := range e.outcomes {
+		outcomes[out.String()] = out
+	}
 
 	res := Result{
 		Test:           t,
@@ -149,7 +169,7 @@ func CheckWith(t Test, cfg Config, opts CheckOpts) (Result, error) {
 		States:         int(e.states.Load()),
 		Collisions:     int(e.collisions.Load()),
 		PeakFrontier:   int(e.peak.Load()),
-		Outcomes:       e.outcomes,
+		Outcomes:       outcomes,
 		Forbidden:      e.forbidden,
 		Deadlock:       e.deadlock,
 		WindowViolated: e.window,
@@ -158,14 +178,14 @@ func CheckWith(t Test, cfg Config, opts CheckOpts) (Result, error) {
 	if e.err != nil {
 		return res, e.err
 	}
-	if e.bad != nil {
+	if e.haveBad {
 		cx := &Counterexample{
 			Kind:    e.badKind,
 			Steps:   e.bad.trace(),
 			StateFP: core.Hash64([]byte(e.badKey)),
 		}
 		if cx.Kind == CxForbidden {
-			cx.Outcome = e.c.outcomeOf(e.bad)
+			cx.Outcome = e.badOutcome
 		}
 		// Confirm before reporting: the trace must re-execute through the
 		// core rules to the same violating state.
@@ -198,18 +218,23 @@ type explorer struct {
 	done   bool
 	err    error
 
-	outcomes  map[string]Outcome
+	// outcomes is the reachable terminal outcome set, keyed by value; the
+	// Result's string keys are formatted once, after exploration.
+	outcomes  map[Outcome]struct{}
 	forbidden bool
 	deadlock  bool
 	window    bool
 	reached   bool
 
-	// bad is the canonically-selected violating state: minimal kind, then
-	// minimal canonical state key, so the reported counterexample's bad
-	// state is independent of worker count and schedule.
-	bad     *world
-	badKind CounterexampleKind
-	badKey  string
+	// bad is the canonically-selected violating state's edge: minimal kind,
+	// then minimal canonical state key, so the reported counterexample's bad
+	// state is independent of worker count and schedule. The edge and the
+	// outcome are copied out of the world, which is recycled like any other.
+	haveBad    bool
+	bad        node
+	badKind    CounterexampleKind
+	badKey     string
+	badOutcome Outcome
 }
 
 // Batching constants: a worker keeps up to localMax states on its private
@@ -222,19 +247,52 @@ const (
 )
 
 // stateCost approximates the retained bytes of one visited state.
-func (e *explorer) stateCost(keyLen int) int64 {
-	c := int64(worldOverheadBytes)
+func (e *explorer) stateCost(w *world, keyLen int) int64 {
+	c := worldBytes(w)
 	if e.exact {
 		c += int64(keyLen)
 	}
 	return c
 }
 
+// scratch is one exploration worker's reusable storage (DESIGN.md §10.2):
+// the canonical-key buffer pair and a third buffer for ample's best key, the
+// world key writes orbit images into, the candidate and successor lists, the
+// processor successors ample built for probed (successors reuses them rather
+// than stepping each processor again), the slab spanning-tree nodes are
+// carved from, and the free list of recycled worlds.
+type scratch struct {
+	a, b, best []byte
+	img        *world
+
+	cands, succ []*world
+	probes      []*world
+	probed      *world
+
+	nodes []node
+	free  freeList
+}
+
+// nodeSlab is how many spanning-tree nodes one slab allocation holds.
+const nodeSlab = 32
+
+// node returns a new spanning-tree node holding w's edge.
+func (sc *scratch) node(w *world) *node {
+	if len(sc.nodes) == 0 {
+		sc.nodes = make([]node, nodeSlab)
+	}
+	n := &sc.nodes[0]
+	sc.nodes = sc.nodes[1:]
+	*n = w.edge
+	return n
+}
+
 // run is one worker: pop from the local frontier, refill from the shared
-// pool when dry, expand, and hand off surplus work.
+// pool when dry, expand, and hand off surplus work. A popped world joins
+// this worker's free list, so the clones made from it recycle here.
 func (e *explorer) run() {
 	var local []*world
-	k := &kbuf{}
+	sc := &scratch{}
 	for {
 		if e.aborted.Load() {
 			return
@@ -247,7 +305,8 @@ func (e *explorer) run() {
 		} else if w = e.take(&local); w == nil {
 			return
 		}
-		e.expand(w, &local, k)
+		w.free = &sc.free
+		e.expand(w, &local, sc)
 		if e.pending.Add(-1) == 0 {
 			e.finish(nil)
 			return
@@ -322,53 +381,73 @@ func (e *explorer) finish(err error) {
 // only branching states — states with no safe transition — enter the
 // visited set and the frontier. The chain is finite (the transition graph
 // is acyclic, por.go) and a deterministic function of the state, so the
-// stored set stays schedule-independent. k is the worker's reusable pair of
-// encoding buffers.
-func (e *explorer) expand(w *world, local *[]*world, k *kbuf) {
+// stored set stays schedule-independent. Every chain state hangs off the
+// node of w, the state being expanded: its earlier steps are a prefix of one
+// via list the chain shares. Each world is recycled as soon as the
+// exploration moves past it — a chain state when the chain takes its next
+// step, the expanded state and the chain's end once their successors are
+// filed — because successors point at nodes, not worlds. sc is the worker's
+// scratch.
+func (e *explorer) expand(w *world, local *[]*world, sc *scratch) {
 	if e.states.Add(1) > e.maxStates {
 		e.finish(fmt.Errorf("litmus %s: state budget %d exceeded", e.c.t.Name, e.maxStates))
 		return
 	}
 	if e.c.windowViolated(w) {
-		e.noteViolation(CxWindowViolation, w, k)
+		e.noteViolation(CxWindowViolation, w, sc)
 	}
+	n := sc.node(w)
 	if e.c.por {
-		for {
-			s := e.c.ample(w, k)
+		var via []Step
+		for chained := false; ; chained = true {
+			s := e.c.ample(w, sc)
 			if s == nil {
 				break
 			}
+			if chained {
+				via = append(via, w.edge.step)
+			}
+			w.recycle()
+			s.edge.parent, s.edge.via = n, via
 			if e.c.windowViolated(s) {
-				e.noteViolation(CxWindowViolation, s, k)
+				e.noteViolation(CxWindowViolation, s, sc)
 			}
 			w = s
 		}
+		if w.edge.parent == n {
+			n = sc.node(w) // the chain's end is the successors' parent
+		}
 	}
-	succ := e.c.successors(w)
+	succ := e.c.successors(w, sc)
 	if len(succ) == 0 {
 		if e.c.terminal(w) {
-			e.noteTerminal(w, k)
+			e.noteTerminal(w, sc)
 		} else {
-			e.noteViolation(CxDeadlock, w, k)
+			e.noteViolation(CxDeadlock, w, sc)
 		}
+		w.recycle()
 		return
 	}
-	for _, s := range succ {
-		key := e.c.key(s, k)
+	for i, s := range succ {
+		succ[i] = nil
+		key := e.c.key(s, sc)
 		added, collision := e.visited.Add(core.Hash64(key), key)
 		if collision {
 			e.collisions.Add(1)
 		}
 		if !added {
+			s.recycle()
 			continue
 		}
-		if !e.budget.charge(e.stateCost(len(key))) {
+		if !e.budget.charge(e.stateCost(s, len(key))) {
 			e.finish(fmt.Errorf("litmus %s: memory budget exceeded", e.c.t.Name))
 			return
 		}
+		s.edge.parent = n
 		e.notePeak(e.pending.Add(1))
 		*local = append(*local, s)
 	}
+	w.recycle()
 }
 
 // notePeak lifts the pending high-water mark (Result.PeakFrontier). The
@@ -387,15 +466,14 @@ func (e *explorer) notePeak(v int64) {
 // symmetry the outcome is expanded back over the automorphism orbit, so the
 // reported outcome set matches unreduced exploration exactly (the predicates
 // are orbit-invariant, so the flags need no re-check).
-func (e *explorer) noteTerminal(w *world, k *kbuf) {
+func (e *explorer) noteTerminal(w *world, sc *scratch) {
 	out := e.c.outcomeOf(w)
 	forbidden := e.c.t.Forbidden(out)
 	reached := e.c.t.MustReach != nil && e.c.t.MustReach(out)
 	e.mu.Lock()
-	e.outcomes[out.String()] = out
+	e.outcomes[out] = struct{}{}
 	for i := range e.c.group {
-		po := permuteOutcome(out, &e.c.group[i])
-		e.outcomes[po.String()] = po
+		e.outcomes[permuteOutcome(out, &e.c.group[i])] = struct{}{}
 	}
 	if forbidden {
 		e.forbidden = true
@@ -405,15 +483,15 @@ func (e *explorer) noteTerminal(w *world, k *kbuf) {
 	}
 	e.mu.Unlock()
 	if forbidden {
-		e.noteViolation(CxForbidden, w, k)
+		e.noteViolation(CxForbidden, w, sc)
 	}
 }
 
 // noteViolation offers w as the counterexample candidate; the canonically
 // smallest (kind, canonical state key) wins so selection is schedule- and
 // representative-independent.
-func (e *explorer) noteViolation(kind CounterexampleKind, w *world, k *kbuf) {
-	key := e.c.key(w, k)
+func (e *explorer) noteViolation(kind CounterexampleKind, w *world, sc *scratch) {
+	key := e.c.key(w, sc)
 	e.mu.Lock()
 	switch kind {
 	case CxWindowViolation:
@@ -421,11 +499,15 @@ func (e *explorer) noteViolation(kind CounterexampleKind, w *world, k *kbuf) {
 	case CxDeadlock:
 		e.deadlock = true
 	}
-	if e.bad == nil || kind < e.badKind ||
+	if !e.haveBad || kind < e.badKind ||
 		(kind == e.badKind && string(key) < e.badKey) {
-		e.bad = w
+		e.haveBad = true
+		e.bad = w.edge
 		e.badKind = kind
 		e.badKey = string(key)
+		if kind == CxForbidden {
+			e.badOutcome = e.c.outcomeOf(w)
+		}
 	}
 	e.mu.Unlock()
 }
@@ -477,13 +559,27 @@ func (c *checker) windowViolated(w *world) bool {
 }
 
 // successors generates every enabled transition's resulting state, each
-// annotated with the parent edge for counterexample reconstruction.
-func (c *checker) successors(w *world) []*world {
+// with the step that reaches it (expand links it to w's node). When
+// ample has just probed w and found no safe transition, its processor
+// successors are reused. The returned list aliases sc (nil sc: a fresh
+// list) and is valid until the next call.
+func (c *checker) successors(w *world, sc *scratch) []*world {
 	var out []*world
+	probed := sc != nil && sc.probed == w
+	if sc != nil {
+		out = sc.succ[:0]
+		sc.probed = nil
+	}
 	// Processor steps.
 	for p := range w.procs {
-		if s := c.stepProc(w, p); s != nil {
-			s.parent, s.step = w, Step{Proc: p}
+		var s *world
+		if probed {
+			s, sc.probes[p] = sc.probes[p], nil
+		} else {
+			s = c.stepProc(w, p)
+		}
+		if s != nil {
+			s.edge.step = Step{Proc: p}
 			out = append(out, s)
 		}
 	}
@@ -493,8 +589,11 @@ func (c *checker) successors(w *world) []*world {
 		m := s.net[i]
 		s.net = append(s.net[:i], s.net[i+1:]...)
 		c.deliver(s, m)
-		s.parent, s.step = w, Step{Deliver: true, Msg: m}
+		s.edge.step = Step{Deliver: true, Msg: m}
 		out = append(out, s)
+	}
+	if sc != nil {
+		sc.succ = out
 	}
 	return out
 }

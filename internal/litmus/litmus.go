@@ -29,6 +29,7 @@ package litmus
 
 import (
 	"fmt"
+	"strconv"
 
 	"cord/internal/proto/core"
 )
@@ -130,8 +131,33 @@ type Outcome struct {
 	Mem  [MaxAddrs]int
 }
 
+// String renders the outcome as fmt's "%v|%v" of Regs and Mem, built
+// without fmt: fmt's printer pool is per processor, so formatting through it
+// would make the model checker's allocation count depend on scheduling and
+// on the garbage collector.
 func (o Outcome) String() string {
-	return fmt.Sprintf("%v|%v", o.Regs, o.Mem)
+	var buf [128]byte
+	b := append(buf[:0], '[')
+	for p := range o.Regs {
+		if p > 0 {
+			b = append(b, ' ')
+		}
+		b = appendInts(b, o.Regs[p][:])
+	}
+	b = append(b, "]|"...)
+	return string(appendInts(b, o.Mem[:]))
+}
+
+// appendInts appends vs as fmt's %v prints an int array: "[1 2 3]".
+func appendInts(b []byte, vs []int) []byte {
+	b = append(b, '[')
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, ']')
 }
 
 // Test is a litmus test: programs, an address placement onto directories,

@@ -1,6 +1,8 @@
 package litmus
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -244,6 +246,27 @@ func TestRunSuiteAggregates(t *testing.T) {
 	}
 	if sr.States == 0 {
 		t.Fatal("no states explored")
+	}
+}
+
+// TestOutcomeStringMatchesFmt: Outcome.String keys Result.Outcomes and the
+// reports, so it must keep printing exactly what fmt's "%v|%v" printed.
+func TestOutcomeStringMatchesFmt(t *testing.T) {
+	var o Outcome
+	if got, want := o.String(), fmt.Sprintf("%v|%v", o.Regs, o.Mem); got != want {
+		t.Fatalf("zero outcome: %q, want %q", got, want)
+	}
+	for p := range o.Regs {
+		for r := range o.Regs[p] {
+			o.Regs[p][r] = (p*MaxRegs + r - 5) * 1_000_003
+		}
+	}
+	for a := range o.Mem {
+		o.Mem[a] = -a * 77
+	}
+	o.Mem[0] = math.MinInt
+	if got, want := o.String(), fmt.Sprintf("%v|%v", o.Regs, o.Mem); got != want {
+		t.Fatalf("outcome: %q, want %q", got, want)
 	}
 }
 

@@ -116,14 +116,19 @@ func onlyLoadsLeft(prog []Op, pc int) bool {
 }
 
 // ample returns the singleton reduced successor of w — one safe transition,
-// parent edge annotated — or nil when no safe transition is enabled (the
-// caller then expands w fully). When several safe transitions are enabled
-// the one whose successor has the minimal canonical key is chosen: the
-// choice is then a function of the state's equivalence class, not of net
-// slice order or of which symmetric representative a worker reached first,
-// which keeps reduced state counts worker- and schedule-independent.
-func (c *checker) ample(w *world, k *kbuf) *world {
-	var cands []*world
+// its step recorded — or nil when no safe transition is enabled (the
+// caller then expands w fully, reusing the processor successors probed here:
+// sc.probes). When several safe transitions are enabled the one whose
+// successor has the minimal canonical key is chosen: the choice is then a
+// function of the state's equivalence class, not of net slice order or of
+// which symmetric representative a worker reached first, which keeps reduced
+// state counts worker- and schedule-independent. Every successor built and
+// not returned or handed on is recycled.
+func (c *checker) ample(w *world, sc *scratch) *world {
+	cands := sc.cands[:0]
+	if len(sc.probes) != len(w.procs) {
+		sc.probes = make([]*world, len(w.procs))
+	}
 	var h addrHeat
 	haveHeat := false
 	ensureHeat := func() *addrHeat {
@@ -135,6 +140,7 @@ func (c *checker) ample(w *world, k *kbuf) *world {
 	}
 	for p := range w.procs {
 		s, kind := c.stepProcKind(w, p)
+		sc.probes[p] = nil
 		if s == nil {
 			continue
 		}
@@ -142,12 +148,14 @@ func (c *checker) ample(w *world, k *kbuf) *world {
 		case stepSafe:
 		case stepLoad:
 			if ensureHeat().writers[c.t.Progs[p][w.procs[p].pc].Addr] != 0 {
+				sc.probes[p] = s
 				continue
 			}
 		default:
+			sc.probes[p] = s
 			continue
 		}
-		s.parent, s.step = w, Step{Proc: p}
+		s.edge.step = Step{Proc: p}
 		cands = append(cands, s)
 	}
 	// cold reports that m's memory write is unobservable: never read by an
@@ -234,22 +242,39 @@ func (c *checker) ample(w *world, k *kbuf) *world {
 		s := w.clone()
 		s.net = append(s.net[:i], s.net[i+1:]...)
 		c.deliver(s, m)
-		s.parent, s.step = w, Step{Deliver: true, Msg: m}
+		s.edge.step = Step{Deliver: true, Msg: m}
 		cands = append(cands, s)
 	}
-	switch len(cands) {
-	case 0:
+	sc.cands = cands
+	if len(cands) == 0 {
+		sc.probed = w
 		return nil
-	case 1:
-		return cands[0]
 	}
-	best, bestKey := 0, []byte(nil)
-	bestKey = append(bestKey, c.key(cands[0], k)...)
-	for i := 1; i < len(cands); i++ {
-		key := c.key(cands[i], k)
-		if bytes.Compare(key, bestKey) < 0 {
-			best, bestKey = i, append(bestKey[:0], key...)
+	for p, s := range sc.probes {
+		if s != nil {
+			s.recycle()
+			sc.probes[p] = nil
 		}
 	}
-	return cands[best]
+	best := 0
+	if len(cands) > 1 {
+		sc.best = append(sc.best[:0], c.key(cands[0], sc)...)
+		for i := 1; i < len(cands); i++ {
+			key := c.key(cands[i], sc)
+			if bytes.Compare(key, sc.best) < 0 {
+				best, sc.best = i, append(sc.best[:0], key...)
+			}
+		}
+	}
+	chosen := cands[best]
+	for i, s := range cands {
+		if i != best {
+			s.recycle()
+		}
+		cands[i] = nil
+	}
+	if c.recycleChosen {
+		chosen.recycle() // test mutant: the chain goes on to use it
+	}
+	return chosen
 }

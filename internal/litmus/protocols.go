@@ -87,11 +87,12 @@ func (c *checker) cordOp(w *world, p int, op Op) (*world, stepKind) {
 		// directory, then stall until all outstanding epochs are acked.
 		if ps.cord.Dirty() {
 			s := w.clone()
-			msgs, ok, _ := s.procs[p].cord.IssueBarrier(c.cp, -1, p, nil)
+			net, ok, _ := s.procs[p].cord.IssueBarrier(c.cp, -1, p, s.net)
 			if !ok {
+				s.recycle()
 				return nil, stepUnsafe // under-provisioned: wait for acks
 			}
-			s.net = append(s.net, msgs...)
+			s.net = net
 			// pc unchanged; completion is the next attempt. With no unacked
 			// epochs the broadcast is chain-head-safe (see cordRelease).
 			return s, chainHeadKind(ps, c, s)
@@ -132,7 +133,7 @@ func (c *checker) cordRelaxed(w *world, p, d int, st core.Msg) (*world, stepKind
 		s := w.clone()
 		sp := &s.procs[p]
 		ep := sp.cord.Ep
-		s.net = append(s.net, sp.cord.IssueRelease(d, core.Msg{Src: p, Barrier: true}, nil)...)
+		s.net = sp.cord.IssueRelease(d, core.Msg{Src: p, Barrier: true}, s.net)
 		sp.flushWait = int64(ep)
 		// pc unchanged; chain-head-safe under the same conditions as a
 		// release issue (the flush stall only blocks p itself).
@@ -165,11 +166,12 @@ func (c *checker) cordRelease(w *world, p, d int, rel core.Msg) (*world, stepKin
 		// their acks, then release with an empty fan-out.
 		if ps.cord.DirtyOutside(d) {
 			s := w.clone()
-			msgs, ok, _ := s.procs[p].cord.IssueBarrier(c.cp, d, p, nil)
+			net, ok, _ := s.procs[p].cord.IssueBarrier(c.cp, d, p, s.net)
 			if !ok {
+				s.recycle()
 				return nil, stepUnsafe
 			}
-			s.net = append(s.net, msgs...)
+			s.net = net
 			// pc unchanged; the release follows after the drain.
 			return s, chainHeadKind(ps, c, s)
 		}
@@ -182,7 +184,7 @@ func (c *checker) cordRelease(w *world, p, d int, rel core.Msg) (*world, stepKin
 	}
 	s := w.clone()
 	sp := &s.procs[p]
-	s.net = append(s.net, sp.cord.IssueRelease(d, rel, nil)...)
+	s.net = sp.cord.IssueRelease(d, rel, s.net)
 	if rel.Atomic {
 		sp.atomWait = true
 	}
@@ -255,9 +257,9 @@ func (c *checker) mpOp(w *world, p int, op Op) (*world, stepKind) {
 		if !ps.barIssued {
 			s := w.clone()
 			sp := &s.procs[p]
-			msgs := sp.mp.FlushTargets(p, nil)
-			s.net = append(s.net, msgs...)
-			sp.mpFlushPending = len(msgs)
+			inFlight := len(s.net)
+			s.net = sp.mp.FlushTargets(p, s.net)
+			sp.mpFlushPending = len(s.net) - inFlight
 			sp.barIssued = true
 			// Only p's flush bookkeeping and the network change; the flush
 			// markers order behind already-posted stores wherever they land.

@@ -413,82 +413,91 @@ func permuteOutcome(o Outcome, g *perm) Outcome {
 	return po
 }
 
-// permuteWorld applies g to a reachable state, producing the (equally
-// reachable) image state. Epochs, sequence numbers, counters and program
-// positions are relabeling-invariant and copy through; indices and values
-// map through g. parent/step exploration bookkeeping is not carried.
-func (c *checker) permuteWorld(w *world, g *perm) *world {
-	nw := &world{
-		procs: make([]procState, len(w.procs)),
-		dirs:  make([]dirState, len(w.dirs)),
-		net:   make([]core.Msg, len(w.net)),
+// permuteWorld applies g to a reachable state, writing the (equally
+// reachable) image state into nw, whose storage it reuses, and returns nw.
+// Epochs, sequence numbers, counters and program positions are
+// relabeling-invariant and copy through; indices and values map through g.
+// The exploration edge is not carried.
+func (c *checker) permuteWorld(w *world, g *perm, nw *world) *world {
+	if len(nw.procs) != len(w.procs) {
+		nw.procs = make([]procState, len(w.procs))
+	}
+	if len(nw.dirs) != len(w.dirs) {
+		nw.dirs = make([]dirState, len(w.dirs))
 	}
 	for p := range w.procs {
-		nw.procs[g.procs[p]] = permProc(&w.procs[p], g)
+		permProc(&nw.procs[g.procs[p]], &w.procs[p], g)
 	}
 	for d := range w.dirs {
-		nw.dirs[g.dirs[d]] = permDir(&w.dirs[d], g)
+		permDir(&nw.dirs[g.dirs[d]], &w.dirs[d], g)
 	}
-	for i, m := range w.net {
-		nw.net[i] = permMsg(m, g)
+	nw.net = nw.net[:0]
+	for _, m := range w.net {
+		nw.net = append(nw.net, permMsg(m, g))
 	}
 	return nw
 }
 
-func permProc(ps *procState, g *perm) procState {
-	np := *ps
+func permProc(np, ps *procState, g *perm) {
+	ps.copyTo(np)
 	for r, v := range ps.regs {
 		np.regs[r] = g.val(v)
 	}
-	np.cord = ps.cord.Clone()
 	for d := range ps.cord.Cnt {
 		np.cord.Cnt[g.dirs[d]] = ps.cord.Cnt[d]
 	}
 	for d := range ps.cord.ByDir {
-		np.cord.ByDir[g.dirs[d]] = append([]uint64(nil), ps.cord.ByDir[d]...)
+		np.cord.ByDir[g.dirs[d]] = append(np.cord.ByDir[g.dirs[d]][:0], ps.cord.ByDir[d]...)
 	}
 	if ps.mp.Seq != nil {
-		np.mp = core.MPProc{Seq: make([]uint64, len(ps.mp.Seq))}
 		for d, s := range ps.mp.Seq {
 			np.mp.Seq[g.dirs[d]] = s
 		}
 	}
 	np.wb = ps.wb.Relabel(g.addr64, g.val64)
-	return np
 }
 
-func permDir(ds *dirState, g *perm) dirState {
-	var nd dirState
+func permDir(nd, ds *dirState, g *perm) {
 	for a, v := range ds.mem {
 		nd.mem[g.addrs[a]] = g.val(v)
 	}
-	nd.cord = core.CordDir{Largest: make([]int64, len(ds.cord.Largest))}
-	for _, pe := range ds.cord.Cnt {
-		nd.cord.Cnt = append(nd.cord.Cnt, core.PE{Proc: g.procs[pe.Proc], Ep: pe.Ep, N: pe.N})
-	}
-	for _, pe := range ds.cord.Noti {
-		nd.cord.Noti = append(nd.cord.Noti, core.PE{Proc: g.procs[pe.Proc], Ep: pe.Ep, N: pe.N})
-	}
+	nd.cord.Largest = resize(nd.cord.Largest, len(ds.cord.Largest))
 	for p, l := range ds.cord.Largest {
 		nd.cord.Largest[g.procs[p]] = l
 	}
-	for _, m := range ds.cord.PendingRel {
-		nd.cord.PendingRel = append(nd.cord.PendingRel, permMsg(m, g))
+	nd.cord.Cnt = nd.cord.Cnt[:0]
+	for _, pe := range ds.cord.Cnt {
+		nd.cord.Cnt = append(nd.cord.Cnt, core.PE{Proc: g.procs[pe.Proc], Ep: pe.Ep, N: pe.N})
 	}
-	for _, m := range ds.cord.PendingReq {
-		nd.cord.PendingReq = append(nd.cord.PendingReq, permMsg(m, g))
+	nd.cord.Noti = nd.cord.Noti[:0]
+	for _, pe := range ds.cord.Noti {
+		nd.cord.Noti = append(nd.cord.Noti, core.PE{Proc: g.procs[pe.Proc], Ep: pe.Ep, N: pe.N})
 	}
-	nd.mp = core.MPOrderer{Next: make([]uint64, len(ds.mp.Next))}
+	nd.cord.PendingRel = permMsgs(nd.cord.PendingRel[:0], ds.cord.PendingRel, g)
+	nd.cord.PendingReq = permMsgs(nd.cord.PendingReq[:0], ds.cord.PendingReq, g)
+	nd.mp.Next = resize(nd.mp.Next, len(ds.mp.Next))
 	for p, s := range ds.mp.Next {
 		nd.mp.Next[g.procs[p]] = s
 	}
-	for _, m := range ds.mp.Pending {
-		nd.mp.Pending = append(nd.mp.Pending, permMsg(m, g))
+	nd.mp.Pending = permMsgs(nd.mp.Pending[:0], ds.mp.Pending, g)
+	nd.mp.Flushes = permMsgs(nd.mp.Flushes[:0], ds.mp.Flushes, g)
+}
+
+// resize returns s with length n, reusing its storage when it is long
+// enough.
+func resize[T any](s []T, n int) []T {
+	if n > cap(s) {
+		return make([]T, n)
 	}
-	for _, m := range ds.mp.Flushes {
-		nd.mp.Flushes = append(nd.mp.Flushes, permMsg(m, g))
+	return s[:n]
+}
+
+// permMsgs appends the images of ms under g to buf.
+func permMsgs(buf, ms []core.Msg, g *perm) []core.Msg {
+	for _, m := range ms {
+		buf = append(buf, permMsg(m, g))
 	}
-	return nd
+	return buf
 }
 
 // permMsg relabels one message. Only the fields a kind actually sets are
@@ -518,21 +527,21 @@ func permMsg(m core.Msg, g *perm) core.Msg {
 	return m
 }
 
-// kbuf is a worker-private pair of encoding buffers for canonical keys; the
-// current key and the scratch side swap as the orbit minimum moves.
-type kbuf struct{ a, b []byte }
-
 // key appends w's canonical encoding — the minimum over the automorphism
-// orbit — into k and returns it. With an empty group this is exactly
-// appendKey. The returned slice aliases k and is valid until the next call.
-func (c *checker) key(w *world, k *kbuf) []byte {
-	k.a = w.appendKey(k.a[:0])
+// orbit — into sc's key buffers and returns it. With an empty group this is
+// exactly appendKey. Each orbit image is written into sc's image world. The
+// returned slice aliases sc and is valid until the next call.
+func (c *checker) key(w *world, sc *scratch) []byte {
+	sc.a = w.appendKey(sc.a[:0])
 	for i := range c.group {
-		pw := c.permuteWorld(w, &c.group[i])
-		k.b = pw.appendKey(k.b[:0])
-		if bytes.Compare(k.b, k.a) < 0 {
-			k.a, k.b = k.b, k.a
+		if sc.img == nil {
+			sc.img = &world{}
+		}
+		pw := c.permuteWorld(w, &c.group[i], sc.img)
+		sc.b = pw.appendKey(sc.b[:0])
+		if bytes.Compare(sc.b, sc.a) < 0 {
+			sc.a, sc.b = sc.b, sc.a
 		}
 	}
-	return k.a
+	return sc.a
 }

@@ -16,7 +16,7 @@ func reachableSample(c *checker, t Test, cfg Config, limit int) []*world {
 	for len(frontier) > 0 && len(states) < limit {
 		w := frontier[0]
 		frontier = frontier[1:]
-		for _, s := range c.successors(w) {
+		for _, s := range c.successors(w, nil) {
 			k := string(s.appendKey(nil))
 			if seen[k] {
 				continue
@@ -48,11 +48,11 @@ func TestCanonicalKeyOrbitInvariant(t *testing.T) {
 		}
 		exercised++
 		states := reachableSample(c, inst.Test, inst.Cfg, 400)
-		k1, k2 := &kbuf{}, &kbuf{}
+		k1, k2 := &scratch{}, &scratch{}
 		for try := 0; try < 80; try++ {
 			w := states[rng.Intn(len(states))]
 			g := &c.group[rng.Intn(len(c.group))]
-			pw := c.permuteWorld(w, g)
+			pw := c.permuteWorld(w, g, &world{})
 			ref := append([]byte(nil), c.key(w, k1)...)
 			if got := c.key(pw, k2); string(got) != string(ref) {
 				t.Fatalf("%s/%s: canonical key of permuted state differs from original",

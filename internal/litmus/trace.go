@@ -147,7 +147,7 @@ func (c *checker) replay(steps []Step) (ReplayResult, *world, error) {
 		}
 	}
 	rr.Fingerprint = core.Hash64(w.appendKey(nil))
-	if len(c.successors(w)) == 0 {
+	if len(c.successors(w, nil)) == 0 {
 		if c.terminal(w) {
 			rr.Terminal = true
 			rr.Outcome = c.outcomeOf(w)
@@ -159,19 +159,40 @@ func (c *checker) replay(steps []Step) (ReplayResult, *world, error) {
 	return rr, w, nil
 }
 
-// trace reconstructs the step sequence from the initial state to w by
-// walking the explorer's parent edges.
-func (w *world) trace() []Step {
-	n := 0
-	for p := w; p.parent != nil; p = p.parent {
-		n++
+// node is one explored state's place in the explorer's spanning tree: the
+// edge it was first reached through, from its parent state's node by the
+// steps in via and then step. A state inside a merged POR chain (expand)
+// hangs off the state being expanded, with the chain's earlier steps in via;
+// every other state has an empty via. The root's node has no parent. Nodes
+// outlive the worlds they describe, so counterexample traces survive world
+// recycling.
+type node struct {
+	parent *node
+	via    []Step
+	step   Step
+}
+
+// trace reconstructs the step sequence from the initial state to n's state
+// by walking the parent edges.
+func (n *node) trace() []Step {
+	k := 0
+	for p := n; p.parent != nil; p = p.parent {
+		k += len(p.via) + 1
 	}
-	steps := make([]Step, n)
-	for p := w; p.parent != nil; p = p.parent {
-		n--
-		steps[n] = p.step
+	steps := make([]Step, k)
+	for p := n; p.parent != nil; p = p.parent {
+		k--
+		steps[k] = p.step
+		k -= len(p.via)
+		copy(steps[k:], p.via)
 	}
 	return steps
+}
+
+// trace is the step sequence from the initial state to w.
+func (w *world) trace() []Step {
+	w.live("trace")
+	return w.edge.trace()
 }
 
 // confirm replays a selected counterexample and verifies the violation
@@ -186,7 +207,7 @@ func (cx *Counterexample) confirm(c *checker) error {
 	if err != nil {
 		return fmt.Errorf("counterexample replay: %w", err)
 	}
-	if fp := core.Hash64(c.key(final, &kbuf{})); fp != cx.StateFP {
+	if fp := core.Hash64(c.key(final, &scratch{})); fp != cx.StateFP {
 		return fmt.Errorf("litmus %s: counterexample replayed to a different state (fp %#x, want %#x)",
 			t.Name, fp, cx.StateFP)
 	}

@@ -48,18 +48,23 @@ func NewCordProc(ndirs int) CordProc {
 	return CordProc{Cnt: make([]uint64, ndirs), ByDir: make([][]uint64, ndirs)}
 }
 
-// Clone deep-copies the state (model-checker world forking).
-func (p *CordProc) Clone() CordProc {
-	c := *p
-	c.Cnt = append([]uint64(nil), p.Cnt...)
-	c.Unacked = append([]EpochRec(nil), p.Unacked...)
-	c.ByDir = make([][]uint64, len(p.ByDir))
-	for i, eps := range p.ByDir {
-		if len(eps) > 0 {
-			c.ByDir[i] = append([]uint64(nil), eps...)
+// CopyTo deep-copies the state into dst, reusing dst's storage (the model
+// checker refills recycled worlds in place).
+func (p *CordProc) CopyTo(dst *CordProc) {
+	cnt, unacked, byDir := dst.Cnt, dst.Unacked, dst.ByDir
+	*dst = *p
+	dst.Cnt = copyTable(cnt, p.Cnt)
+	dst.Unacked = append(unacked[:0], p.Unacked...)
+	dst.ByDir = nil
+	if p.ByDir != nil {
+		if len(byDir) != len(p.ByDir) {
+			byDir = make([][]uint64, len(p.ByDir))
 		}
+		for i, eps := range p.ByDir {
+			byDir[i] = append(byDir[i][:0], eps...)
+		}
+		dst.ByDir = byDir
 	}
-	return c
 }
 
 // Provisioned reports whether a release bound for directory d can be issued
@@ -314,15 +319,13 @@ func NewCordDir(nprocs int) CordDir {
 	return CordDir{Largest: l}
 }
 
-// Clone deep-copies the state (model-checker world forking).
-func (d *CordDir) Clone() CordDir {
-	c := *d
-	c.Cnt = append([]PE(nil), d.Cnt...)
-	c.Noti = append([]PE(nil), d.Noti...)
-	c.Largest = append([]int64(nil), d.Largest...)
-	c.PendingRel = append([]Msg(nil), d.PendingRel...)
-	c.PendingReq = append([]Msg(nil), d.PendingReq...)
-	return c
+// CopyTo deep-copies the state into dst, reusing dst's storage.
+func (d *CordDir) CopyTo(dst *CordDir) {
+	dst.Cnt = append(dst.Cnt[:0], d.Cnt...)
+	dst.Noti = append(dst.Noti[:0], d.Noti...)
+	dst.Largest = copyTable(dst.Largest, d.Largest)
+	dst.PendingRel = append(dst.PendingRel[:0], d.PendingRel...)
+	dst.PendingReq = append(dst.PendingReq[:0], d.PendingReq...)
 }
 
 func find(tab []PE, proc int, ep uint64) int {

@@ -88,3 +88,12 @@ type Msg struct {
 	Atomic  bool // read-modify-write; responses carry the old value in Val
 	Release bool // SO/WB: the store is a release (ack resumes ordering)
 }
+
+// copyTable copies a per-index table into dst's storage. A nil table — one
+// the processor's or directory's protocol does not use — stays nil.
+func copyTable[T any](dst, src []T) []T {
+	if src == nil {
+		return nil
+	}
+	return append(dst[:0], src...)
+}

@@ -145,12 +145,13 @@ func TestCordBarrierFullAndDrain(t *testing.T) {
 	cp.DirCntCapPerProc = 0
 	r := NewCordProc(2)
 	r.NoteRelaxed(0)
-	before := r.Clone()
+	var before, after CordProc
+	r.CopyTo(&before)
 	_, ok, bad := r.IssueBarrier(cp, -1, 7, nil)
 	if ok || bad != 0 {
 		t.Fatalf("want refusal on dir 0, got ok=%v bad=%d", ok, bad)
 	}
-	if !reflect.DeepEqual(before, r.Clone()) {
+	if r.CopyTo(&after); !reflect.DeepEqual(before, after) {
 		t.Fatal("refused barrier must not mutate state")
 	}
 }

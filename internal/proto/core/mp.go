@@ -13,8 +13,9 @@ type MPProc struct {
 // NewMPProc returns processor state for ndomains ordering domains.
 func NewMPProc(ndomains int) MPProc { return MPProc{Seq: make([]uint64, ndomains)} }
 
-// Clone deep-copies the state (model-checker world forking).
-func (p *MPProc) Clone() MPProc { return MPProc{Seq: append([]uint64(nil), p.Seq...)} }
+// CopyTo deep-copies the state into dst, reusing dst's storage. A processor
+// that runs another protocol keeps a nil Seq.
+func (p *MPProc) CopyTo(dst *MPProc) { dst.Seq = copyTable(dst.Seq, p.Seq) }
 
 // NextSeq assigns the sequence number for the next posted write to domain d.
 func (p *MPProc) NextSeq(d int) uint64 {
@@ -47,13 +48,11 @@ type MPOrderer struct {
 // NewMPOrderer returns an ordering point for nprocs sources.
 func NewMPOrderer(nprocs int) MPOrderer { return MPOrderer{Next: make([]uint64, nprocs)} }
 
-// Clone deep-copies the state (model-checker world forking).
-func (o *MPOrderer) Clone() MPOrderer {
-	return MPOrderer{
-		Next:    append([]uint64(nil), o.Next...),
-		Pending: append([]Msg(nil), o.Pending...),
-		Flushes: append([]Msg(nil), o.Flushes...),
-	}
+// CopyTo deep-copies the state into dst, reusing dst's storage.
+func (o *MPOrderer) CopyTo(dst *MPOrderer) {
+	dst.Next = copyTable(dst.Next, o.Next)
+	dst.Pending = append(dst.Pending[:0], o.Pending...)
+	dst.Flushes = append(dst.Flushes[:0], o.Flushes...)
 }
 
 // Submit hands an arrived posted write to the ordering point. commit is

@@ -89,26 +89,32 @@ type WBProc struct {
 // NewWBProc returns empty write-back processor state.
 func NewWBProc() WBProc { return WBProc{} }
 
-// Clone deep-copies the state (model-checker world forking). Cloning the
-// zero WBProc allocates nothing.
-func (p *WBProc) Clone() WBProc {
-	c := WBProc{lines: p.lines.Clone(), MSHR: p.MSHR, Pending: p.Pending}
-	if len(p.recs) == 0 {
-		return c
-	}
-	c.recs = make([]*WBLine, len(p.recs))
-	for i, r := range p.recs {
-		nr := new(WBLine)
+// CopyTo deep-copies the state into dst, reusing dst's line table and its
+// dirty records (dst's records must be dst's own, not handed out by a
+// flush).
+func (p *WBProc) CopyTo(dst *WBProc) {
+	p.lines.CopyTo(&dst.lines)
+	dst.MSHR, dst.Pending = p.MSHR, p.Pending
+	dst.spare = append(dst.spare, dst.recs...)
+	clear(dst.recs)
+	dst.recs = dst.recs[:0]
+	dst.head, dst.last = nil, nil
+	for _, r := range p.recs {
+		var nr *WBLine
+		if n := len(dst.spare); n > 0 {
+			nr, dst.spare = dst.spare[n-1], dst.spare[:n-1]
+		} else {
+			nr = new(WBLine)
+		}
 		*nr = *r
-		c.recs[i] = nr
+		dst.recs = append(dst.recs, nr)
 	}
-	tail := &c.head
+	tail := &dst.head
 	for r := p.head; r != nil; r = r.next {
-		nr := c.recs[p.lines.Read(r.Line)>>wbRecShift-1]
+		nr := dst.recs[p.lines.Read(r.Line)>>wbRecShift-1]
 		*tail, tail = nr, &nr.next
 	}
 	*tail = nil
-	return c
 }
 
 // WBStoreVerdict is StoreAdmit's decision for a relaxed store.

@@ -119,13 +119,17 @@ func TestWBRedirtyAfterFlush(t *testing.T) {
 	}
 }
 
-// TestWBCloneIndependent: a clone shares no state with its original, and
-// encodes the same until one of them moves.
-func TestWBCloneIndependent(t *testing.T) {
+// TestWBCopyToIndependent: a copy shares no state with its original, even
+// when it reuses a destination that held lines of its own, and encodes the
+// same until one of them moves.
+func TestWBCopyToIndependent(t *testing.T) {
 	p := wbEncodingState()
-	c := p.Clone()
+	c := NewWBProc()
+	c.RecordDirty(1024, 1024, 5)
+	c.BeginFetch(2048)
+	p.CopyTo(&c)
 	if !bytes.Equal(p.AppendBinary(nil), c.AppendBinary(nil)) {
-		t.Fatal("a clone must encode like its original")
+		t.Fatal("a copy must encode like its original")
 	}
 	ref := hex.EncodeToString(p.AppendBinary(nil))
 	c.RecordDirty(64, 64, 9)
@@ -133,7 +137,7 @@ func TestWBCloneIndependent(t *testing.T) {
 	c.Fill(256)
 	flushed(&c)
 	if got := hex.EncodeToString(p.AppendBinary(nil)); got != ref {
-		t.Fatalf("clone changes leaked into the original:\n got %s\nwant %s", got, ref)
+		t.Fatalf("copy changes leaked into the original:\n got %s\nwant %s", got, ref)
 	}
 	if got := flushed(&p); len(got) != 3 || got[1][1] != [2]uint64{68, 7} {
 		t.Fatalf("original lost its dirty data: %v", got)
