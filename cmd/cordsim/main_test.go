@@ -57,6 +57,29 @@ func TestNegativeSizeExitsTwo(t *testing.T) {
 	}
 }
 
+// TestMicroBadFanoutNamesFanout: the micro workload derives its host count
+// from -fanout, so a fan-out below 1 must be reported as the fan-out the
+// user set, not as a host count.
+func TestMicroBadFanoutNamesFanout(t *testing.T) {
+	if args := os.Getenv("CORDSIM_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"cordsim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, f := range []string{"0", "-2"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestMicroBadFanoutNamesFanout$")
+		cmd.Env = append(os.Environ(), "CORDSIM_TEST_ARGS=-workload micro -fanout "+f)
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() == 0 {
+			t.Errorf("cordsim -fanout %s: err %v, want a failing exit; output:\n%s", f, err, out)
+		}
+		if want := "Fanout = " + f + " must be in [1, hosts-1]"; !strings.Contains(string(out), want) {
+			t.Errorf("cordsim -fanout %s: output lacks %q:\n%s", f, want, out)
+		}
+	}
+}
+
 // TestOversizedTraceStoreFails replays a trace whose store size does not fit
 // a store: cordsim must exit 1 with the parse error, not panic in the
 // network.

@@ -268,6 +268,7 @@ type scratch struct {
 	cands, succ []*world
 	probes      []*world
 	probed      *world
+	probe       probe
 
 	nodes []node
 	free  freeList
@@ -515,7 +516,7 @@ func (e *explorer) noteViolation(kind CounterexampleKind, w *world, sc *scratch)
 // terminal: all programs retired, no in-flight or buffered work.
 func (c *checker) terminal(w *world) bool {
 	for p := range w.procs {
-		if w.procs[p].pc < len(c.t.Progs[p]) || w.procs[p].flushWait >= 0 {
+		if w.procs[p].pc < len(c.t.Progs[p]) {
 			return false
 		}
 	}
@@ -566,9 +567,11 @@ func (c *checker) windowViolated(w *world) bool {
 func (c *checker) successors(w *world, sc *scratch) []*world {
 	var out []*world
 	probed := sc != nil && sc.probed == w
+	pr := &probe{}
 	if sc != nil {
 		out = sc.succ[:0]
 		sc.probed = nil
+		pr = &sc.probe
 	}
 	// Processor steps.
 	for p := range w.procs {
@@ -576,7 +579,7 @@ func (c *checker) successors(w *world, sc *scratch) []*world {
 		if probed {
 			s, sc.probes[p] = sc.probes[p], nil
 		} else {
-			s = c.stepProc(w, p)
+			s, _ = c.stepProcKind(w, p, pr)
 		}
 		if s != nil {
 			s.edge.step = Step{Proc: p}

@@ -52,18 +52,35 @@ func diffPairs() []diffPair {
 }
 
 // diffShapes selects base shapes whose stores span processors and
-// directories; loads are dropped in the simulator translation (they do not
+// directories, the barrier shapes, and the far-atomic programs of
+// litmus_test.go, so the waits for barrier acks and atomic values are
+// compared too. Loads are dropped in the simulator translation (they do not
 // affect final memory, which is what the differential compares).
 func diffShapes() []litmus.Test {
 	want := map[string]bool{"MP": true, "ISA2": true, "MP3": true,
-		"RelChain": true, "2+2W": true, "S": true}
+		"RelChain": true, "2+2W": true, "S": true, "MP+bar": true, "SB+bars": true}
 	var out []litmus.Test
 	for _, t := range litmus.BaseTests() {
 		if want[t.Name] {
 			out = append(out, t)
 		}
 	}
-	return out
+	const x, y, z = litmus.Addr(0), litmus.Addr(1), litmus.Addr(2)
+	none := func(litmus.Outcome) bool { return false }
+	return append(out,
+		litmus.Test{Name: "MP+atomic", Progs: [][]litmus.Op{
+			{litmus.St(x, 1), litmus.FAddRel(y, 1, 3)},
+			{litmus.LdAcq(y, 0), litmus.Ld(x, 1)},
+		}, Home: []int{0, 1}, Forbidden: none},
+		litmus.Test{Name: "atomic-accum", Progs: [][]litmus.Op{
+			{litmus.FAdd(x, 1, 0)},
+			{litmus.FAdd(x, 1, 0)},
+		}, Home: []int{1}, Forbidden: none},
+		litmus.Test{Name: "atomic-tiny", Progs: [][]litmus.Op{
+			{litmus.St(x, 1), litmus.St(y, 1), litmus.FAddRel(z, 1, 0)},
+			{litmus.LdAcq(z, 1), litmus.Ld(x, 2), litmus.Ld(y, 3)},
+		}, Home: []int{0, 1, 2}, Forbidden: none},
+	)
 }
 
 // simProgram translates one litmus program to simulator ops, mapping model

@@ -139,7 +139,7 @@ func (c *checker) ample(w *world, sc *scratch) *world {
 		return &h
 	}
 	for p := range w.procs {
-		s, kind := c.stepProcKind(w, p)
+		s, kind := c.stepProcKind(w, p, &sc.probe)
 		sc.probes[p] = nil
 		if s == nil {
 			continue

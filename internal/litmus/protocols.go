@@ -38,20 +38,23 @@ const (
 // successor state, or nil if p is done or blocked (stalled on protocol
 // conditions — it unblocks via a future delivery transition).
 func (c *checker) stepProc(w *world, p int) *world {
-	s, _ := c.stepProcKind(w, p)
+	s, _ := c.stepProcKind(w, p, &probe{})
 	return s
 }
 
-// stepProcKind is stepProc plus the step's reduction class.
-func (c *checker) stepProcKind(w *world, p int) (*world, stepKind) {
+// probe is a worker's scratch processor: stepProcKind runs an Issue rule on
+// a copy of the stepping processor first, so a refusal costs no world, and
+// a step that proceeds copies it into its successor.
+type probe struct {
+	ps  procState
+	out []core.Msg
+}
+
+// stepProcKind is stepProc plus the step's reduction class. Loads are the
+// driver's; every other op goes through the processor's protocol Issue rule.
+func (c *checker) stepProcKind(w *world, p int, pr *probe) (*world, stepKind) {
 	ps := &w.procs[p]
-	if ps.flushWait >= 0 {
-		return nil, stepUnsafe // stalled on an injected overflow flush
-	}
-	if ps.atomWait {
-		return nil, stepUnsafe // blocked on a far atomic's value response
-	}
-	if ps.pc >= len(c.t.Progs[p]) {
+	if ps.pc >= len(c.t.Progs[p]) || waiting(ps) {
 		return nil, stepUnsafe
 	}
 	op := c.t.Progs[p][ps.pc]
@@ -64,303 +67,105 @@ func (c *checker) stepProcKind(w *world, p int) (*world, stepKind) {
 		s.procs[p].pc++
 		return s, stepLoad
 	}
-	switch c.cfg.protoFor(p) {
-	case CORDP:
-		return c.cordOp(w, p, op)
-	case SOP:
-		return c.soOp(w, p, op)
-	case MPP:
-		return c.mpOp(w, p, op)
-	case WBP:
-		return c.wbOp(w, p, op)
-	}
-	panic(fmt.Sprintf("litmus: processor %d runs unknown protocol", p))
-}
-
-// --- CORD processor (Alg. 1 via core.CordProc) ---
-
-func (c *checker) cordOp(w *world, p int, op Op) (*world, stepKind) {
-	ps := &w.procs[p]
-	switch op.Kind {
-	case OpBar:
-		// Release barrier (§4.4): broadcast empty releases to every dirty
-		// directory, then stall until all outstanding epochs are acked.
-		if ps.cord.Dirty() {
-			s := w.clone()
-			net, ok, _ := s.procs[p].cord.IssueBarrier(c.cp, -1, p, s.net)
-			if !ok {
-				s.recycle()
-				return nil, stepUnsafe // under-provisioned: wait for acks
-			}
-			s.net = net
-			// pc unchanged; completion is the next attempt. With no unacked
-			// epochs the broadcast is chain-head-safe (see cordRelease).
-			return s, chainHeadKind(ps, c, s)
-		}
-		if len(ps.cord.Unacked) > 0 {
-			return nil, stepUnsafe
-		}
-		s := w.clone()
-		s.procs[p].pc++
-		// Unacked is empty, so no MAck for p is in flight: the completion
-		// guard can never be racing a disable and the step only bumps pc.
-		return s, stepSafe
-	case OpSt, OpAt:
-		rel := core.Msg{Src: p, Addr: uint64(op.Addr), Val: uint64(op.Val)}
-		if op.Kind == OpAt {
-			rel.Atomic = true
-			rel.Tag = uint64(op.Reg)
-		}
-		if op.Ord == Rel {
-			return c.cordRelease(w, p, c.home(op.Addr), rel)
-		}
-		return c.cordRelaxed(w, p, c.home(op.Addr), rel)
-	}
-	panic(fmt.Sprintf("litmus: CORD cannot execute %v", op))
-}
-
-// cordRelaxed posts a directory-ordered relaxed store (or relaxed far
-// atomic), stall-flushing first if the store counter would overflow or the
-// counter table has no free slot (§4.3).
-func (c *checker) cordRelaxed(w *world, p, d int, st core.Msg) (*world, stepKind) {
-	ps := &w.procs[p]
-	if ps.cord.RelaxedAdmit(c.cp, d) != core.AdmitOK {
-		// Inject an empty release to d through the full release path
-		// (ReqNotify fan-out included), stall until it acks, then retry.
-		if !ps.cord.Provisioned(c.cp, d) {
-			return nil, stepUnsafe
-		}
-		s := w.clone()
-		sp := &s.procs[p]
-		ep := sp.cord.Ep
-		s.net = sp.cord.IssueRelease(d, core.Msg{Src: p, Barrier: true}, s.net)
-		sp.flushWait = int64(ep)
-		// pc unchanged; chain-head-safe under the same conditions as a
-		// release issue (the flush stall only blocks p itself).
-		return s, chainHeadKind(ps, c, s)
-	}
-	s := w.clone()
-	sp := &s.procs[p]
-	ep, _ := sp.cord.NoteRelaxed(d)
-	st.Kind = core.MRelaxed
-	st.Dir = d
-	st.Ep = ep
-	if st.Atomic {
-		sp.atomWait = true
-	}
-	s.net = append(s.net, st)
-	sp.pc++
-	// Admission only bumps p's private counters (Cnt/CntLive) and appends a
-	// message; it cannot be disabled (AdmitOK is monotone under other
-	// components' transitions) and touches neither memory nor the window.
-	return s, stepSafe
-}
-
-// cordRelease issues a release store (or release far atomic) to directory d
-// with its notification-request fan-out.
-func (c *checker) cordRelease(w *world, p, d int, rel core.Msg) (*world, stepKind) {
-	ps := &w.procs[p]
-	if c.cp.NoNotifications {
-		// Ablated §4.2: fall back to source ordering across directories —
-		// drain the other dirty directories with empty releases, wait for
-		// their acks, then release with an empty fan-out.
-		if ps.cord.DirtyOutside(d) {
-			s := w.clone()
-			net, ok, _ := s.procs[p].cord.IssueBarrier(c.cp, d, p, s.net)
-			if !ok {
-				s.recycle()
-				return nil, stepUnsafe
-			}
-			s.net = net
-			// pc unchanged; the release follows after the drain.
-			return s, chainHeadKind(ps, c, s)
-		}
-		if ps.cord.UnackedOutside(d) {
-			return nil, stepUnsafe
-		}
-	}
-	if !ps.cord.Provisioned(c.cp, d) {
+	ps.copyTo(&pr.ps)
+	cop := c.coreOp(p, op)
+	out, wt := c.issue(&pr.ps, &cop, pr.out[:0])
+	pr.out = out
+	if wt.Verdict == core.Refuse {
 		return nil, stepUnsafe
 	}
 	s := w.clone()
 	sp := &s.procs[p]
-	s.net = sp.cord.IssueRelease(d, rel, s.net)
-	if rel.Atomic {
-		sp.atomWait = true
+	pr.ps.copyTo(sp)
+	s.net = append(s.net, out...)
+	if wt.Verdict != core.Retry {
+		sp.pc++
 	}
-	sp.pc++
-	// A release advances Ep and appends to Unacked — the epoch-window
-	// observables — and its ReqNotify fan-out reads ByDir/lastUnackedFor, so
-	// it generally conflicts with p's in-flight MAcks. At the head of a chain
-	// the conflict vanishes: see chainHeadKind.
-	return s, chainHeadKind(ps, c, s)
-}
-
-// chainHeadKind classifies a just-applied release/barrier/flush issue from a
-// processor whose pre-state ps had no unacknowledged epochs. With Unacked
-// empty there is no MAck in flight for the processor, so nothing can race
-// the issue's guard or change the ReqNotify fan-out it computed (Cnt and
-// ByDir are processor-private); the post-state's window distance is at most
-// one, so the epoch-window predicate cannot flip unless it already reads
-// true elsewhere (checked on the built successor, belt and braces). Such a
-// chain-head issue commutes with every co-enabled transition and is safe;
-// issues under an open ack chain stay fully interleaved.
-func chainHeadKind(ps *procState, c *checker, s *world) stepKind {
-	if len(ps.cord.Unacked) == 0 && !c.windowViolated(s) {
-		return stepSafe
+	if len(sp.cord.Unacked) > len(ps.cord.Unacked) &&
+		(len(ps.cord.Unacked) > 0 || c.windowViolated(s)) {
+		// A CORD release, barrier, drain or overflow flush advances Ep and
+		// grows Unacked — the epoch-window observables — and its ReqNotify
+		// fan-out reads ByDir, so it conflicts with p's in-flight MAcks. At
+		// the head of a chain (no unacked epoch before it) no MAck for p is
+		// in flight to race the guard or the fan-out, and the window
+		// distance is at most one, so the predicate cannot flip unless it
+		// already reads true (checked on the successor, belt and braces):
+		// only then is the issue safe.
+		return s, stepUnsafe
 	}
-	return stepUnsafe
-}
-
-// --- SO processor (source ordering via core.SOProc) ---
-
-func (c *checker) soOp(w *world, p int, op Op) (*world, stepKind) {
-	ps := &w.procs[p]
-	if op.Kind == OpBar {
-		if !ps.so.Drained() {
-			return nil, stepUnsafe
-		}
-		// Drained means no MSOAck for p is in flight, so the guard cannot be
-		// racing anything; the step only bumps pc.
-		s := w.clone()
-		s.procs[p].pc++
-		return s, stepSafe
-	}
-	if op.Ord == Rel && !ps.so.CanIssueOrdered() {
-		return nil, stepUnsafe // a release waits for every prior store's ack
-	}
-	s := w.clone()
-	sp := &s.procs[p]
-	sp.so.NoteStore()
-	m := core.Msg{Kind: core.MSOStore, Src: p, Dir: c.home(op.Addr),
-		Addr: uint64(op.Addr), Val: uint64(op.Val), Release: op.Ord == Rel}
-	if op.Kind == OpAt {
-		m.Atomic = true
-		m.Tag = uint64(op.Reg)
-		sp.atomWait = true
-	}
-	s.net = append(s.net, m)
-	sp.pc++
-	// Issue touches only p's ack counter and the network. If the release
-	// guard held it holds in every interleaving (acks only drain it).
+	// Every other issue touches only p's private state and appends messages:
+	// its guard only ever clears under other components' transitions (acks
+	// drain counters, fills free MSHRs), so it cannot be disabled.
 	return s, stepSafe
 }
 
-// --- MP processor (posted writes via core.MPProc) ---
-
-func (c *checker) mpOp(w *world, p int, op Op) (*world, stepKind) {
-	ps := &w.procs[p]
-	if op.Kind == OpBar {
-		// A barrier is a flushing read to every posted-to ordering domain
-		// (here: directory); issue the fan-out once, then stall for the
-		// responses.
-		if !ps.barIssued {
-			s := w.clone()
-			sp := &s.procs[p]
-			inFlight := len(s.net)
-			s.net = sp.mp.FlushTargets(p, s.net)
-			sp.mpFlushPending = len(s.net) - inFlight
-			sp.barIssued = true
-			// Only p's flush bookkeeping and the network change; the flush
-			// markers order behind already-posted stores wherever they land.
-			return s, stepSafe
-		}
-		if ps.mpFlushPending > 0 {
-			return nil, stepUnsafe
-		}
-		s := w.clone()
-		s.procs[p].barIssued = false
-		s.procs[p].pc++
-		// mpFlushPending reached zero: every flush response arrived, nothing
-		// can re-disable the completion guard.
-		return s, stepSafe
-	}
+// coreOp translates processor p's litmus op for its protocol's Issue rule.
+// A barrier is always a release barrier; an atomic's request carries the
+// register its old value returns to.
+func (c *checker) coreOp(p int, op Op) core.Op {
 	d := c.home(op.Addr)
-	s := w.clone()
-	sp := &s.procs[p]
-	m := core.Msg{Kind: core.MMPStore, Src: p, Dir: d, Seq: sp.mp.NextSeq(d),
-		Addr: uint64(op.Addr), Val: uint64(op.Val)}
-	if op.Kind == OpAt {
-		// Non-posted far atomic: ordered in the same per-domain stream.
-		m.Atomic = true
-		m.Tag = uint64(op.Reg)
-		sp.atomWait = true
+	o := core.Op{Release: op.Ord == Rel, Src: p, Dir: d, Domain: d,
+		Addr: uint64(op.Addr), Line: uint64(op.Addr), Val: uint64(op.Val)}
+	switch op.Kind {
+	case OpAt:
+		o.Kind, o.Tag = core.OpAtomic, uint64(op.Reg)
+	case OpBar:
+		o.Kind, o.Release = core.OpBarrier, true
 	}
-	s.net = append(s.net, m)
-	sp.pc++
-	return s, stepSafe
+	return o
 }
 
-// --- WB processor (write-back ownership via core.WBProc) ---
-
-func (c *checker) wbOp(w *world, p int, op Op) (*world, stepKind) {
-	ps := &w.procs[p]
-	ordered := op.Ord == Rel || op.Kind == OpBar
-	if ordered {
-		// Release discipline: drain MSHRs, write every dirty line back,
-		// drain the acknowledgments, then perform the op proper.
-		if !ps.wb.CanFlush() {
-			return nil, stepUnsafe
-		}
-		if ps.wb.Dirty() {
-			s := w.clone()
-			sp := &s.procs[p]
-			sp.wb.FlushLines(func(l *core.WBLine) {
-				l.Each(func(a, v uint64) {
-					s.net = append(s.net, core.Msg{Kind: core.MWBData, Src: p,
-						Dir: c.home(Addr(a)), Addr: a, Val: v})
-				})
+// issue runs the processor's protocol Issue rule on ps. A WB write-back
+// puts one MWBData per dirty word on the wire (each model address is its
+// own line).
+func (c *checker) issue(ps *procState, op *core.Op, buf []core.Msg) ([]core.Msg, core.Wait) {
+	switch ps.proto {
+	case CORDP:
+		return ps.cord.Issue(c.cp, op, buf)
+	case SOP:
+		return ps.so.Issue(op, buf)
+	case MPP:
+		return ps.mp.Issue(op, buf)
+	case WBP:
+		return ps.wb.Issue(c.cfg.wbMSHRs(), op, buf, func(buf []core.Msg, l *core.WBLine) []core.Msg {
+			l.Each(func(a, v uint64) {
+				buf = append(buf, core.Msg{Kind: core.MWBData, Src: op.Src, Dir: c.home(Addr(a)), Addr: a, Val: v})
 			})
-			// Moves p's dirty table onto the wire; CanFlush held (no fills
-			// in flight) so no concurrent transition touches the same state.
-			return s, stepSafe // pc unchanged; the op follows once acks drain
-		}
-		if !ps.wb.Drained() {
-			return nil, stepUnsafe
-		}
-		if op.Kind == OpBar {
-			s := w.clone()
-			s.procs[p].pc++
-			return s, stepSafe
-		}
+			return buf
+		})
 	}
-	if op.Kind == OpAt || op.Ord == Rel {
-		// Flags and far atomics are written through at the home directory
-		// (uncached), acked individually.
-		s := w.clone()
-		sp := &s.procs[p]
-		sp.wb.NoteFlag()
-		m := core.Msg{Kind: core.MWBFlag, Src: p, Dir: c.home(op.Addr),
-			Addr: uint64(op.Addr), Val: uint64(op.Val)}
-		if op.Kind == OpAt {
-			m.Atomic = true
-			m.Tag = uint64(op.Reg)
-			sp.atomWait = true
-		}
-		s.net = append(s.net, m)
-		sp.pc++
-		return s, stepSafe
+	panic(fmt.Sprintf("litmus: processor %d runs unknown protocol", op.Src))
+}
+
+// waiting reports whether an issued wait holds the processor.
+func waiting(ps *procState) bool {
+	switch ps.proto {
+	case CORDP:
+		return ps.cord.Waiting()
+	case SOP:
+		return ps.so.AtomWait
+	case MPP:
+		return ps.mp.AtomWait
 	}
-	// Relaxed store: allocate ownership of the line (one line per model
-	// address) and merge into the dirty table.
-	line := uint64(op.Addr)
-	switch ps.wb.StoreAdmit(c.cfg.wbMSHRs(), line) {
-	case core.WBMSHRFull:
-		return nil, stepUnsafe
-	case core.WBHit:
-		s := w.clone()
-		s.procs[p].wb.RecordDirty(line, uint64(op.Addr), uint64(op.Val))
-		s.procs[p].pc++
-		return s, stepSafe
-	default: // WBMiss
-		s := w.clone()
-		sp := &s.procs[p]
-		sp.wb.BeginFetch(line)
-		sp.wb.RecordDirty(line, uint64(op.Addr), uint64(op.Val))
-		s.net = append(s.net, core.Msg{Kind: core.MWBGetM, Src: p,
-			Dir: c.home(op.Addr), Addr: line})
-		sp.pc++
-		return s, stepSafe
+	return ps.wb.AtomWait
+}
+
+// receive applies a reply to processor m.Src through its protocol's Receive
+// rule, then writes a returned atomic value to the register Tag names.
+func (c *checker) receive(s *world, m core.Msg) {
+	ps := &s.procs[m.Src]
+	switch ps.proto {
+	case CORDP:
+		ps.cord.Receive(&m)
+	case SOP:
+		ps.so.Receive(&m)
+	case MPP:
+		ps.mp.Receive(&m)
+	case WBP:
+		ps.wb.Receive(&m)
+	}
+	if core.ReturnsValue(m) {
+		ps.regs[m.Tag] = int(m.Val)
 	}
 }
 
@@ -371,16 +176,8 @@ func (c *checker) wbOp(w *world, p int, op Op) (*world, stepKind) {
 func (c *checker) deliver(s *world, m core.Msg) {
 	switch m.Kind {
 	case core.MRelaxed:
-		ds := &s.dirs[m.Dir]
-		if m.Atomic {
-			old := ds.mem[m.Addr]
-			ds.mem[m.Addr] += int(m.Val)
-			s.net = append(s.net, core.Msg{Kind: core.MAtomicResp, Src: m.Src,
-				Val: uint64(old), Tag: m.Tag})
-		} else {
-			ds.mem[m.Addr] = int(m.Val)
-		}
-		ds.cord.NoteRelaxed(m.Src, m.Ep)
+		c.commitAtomic(s, m)
+		s.dirs[m.Dir].cord.NoteRelaxed(m.Src, m.Ep)
 		c.reeval(s, m.Dir)
 	case core.MRelease:
 		if s.dirs[m.Dir].cord.ReleaseEligible(m) {
@@ -398,33 +195,14 @@ func (c *checker) deliver(s *world, m core.Msg) {
 	case core.MNotify:
 		s.dirs[m.Dir].cord.NoteNotify(m.Src, m.Ep)
 		c.reeval(s, m.Dir)
-	case core.MAck:
-		ps := &s.procs[m.Src]
-		if ps.cord.AckRelease(m.Ep) && ps.flushWait == int64(m.Ep) {
-			ps.flushWait = -1 // overflow flush acked: retry the stalled op
-		}
-	case core.MAtomicResp:
-		s.procs[m.Src].regs[m.Tag] = int(m.Val)
-		s.procs[m.Src].atomWait = false
+	case core.MAck, core.MAtomicResp, core.MSOAck, core.MMPFlushOK, core.MWBFill, core.MWBAck:
+		c.receive(s, m)
 	case core.MSOStore:
-		ds := &s.dirs[m.Dir]
-		old := ds.mem[m.Addr]
-		if m.Atomic {
-			ds.mem[m.Addr] += int(m.Val)
-		} else {
-			ds.mem[m.Addr] = int(m.Val)
-		}
-		s.net = append(s.net, core.SOAck(m, uint64(old)))
-	case core.MSOAck:
-		ps := &s.procs[m.Src]
-		ps.so.NoteAck()
-		if m.Atomic {
-			ps.regs[m.Tag] = int(m.Val)
-			ps.atomWait = false
-		}
+		core.SOAck(&m, commit(s, m))
+		s.net = append(s.net, m)
 	case core.MMPStore:
 		s.dirs[m.Dir].mp.Submit(m,
-			func(cm core.Msg) { c.mpCommit(s, cm) },
+			func(cm core.Msg) { c.commitAtomic(s, cm) },
 			func(f core.Msg) {
 				s.net = append(s.net, core.Msg{Kind: core.MMPFlushOK, Src: f.Src})
 			})
@@ -432,76 +210,54 @@ func (c *checker) deliver(s *world, m core.Msg) {
 		if s.dirs[m.Dir].mp.Flush(m) {
 			s.net = append(s.net, core.Msg{Kind: core.MMPFlushOK, Src: m.Src})
 		}
-	case core.MMPFlushOK:
-		ps := &s.procs[m.Src]
-		if ps.mpFlushPending == 0 {
-			panic("litmus: spurious MP flush response")
-		}
-		ps.mpFlushPending--
 	case core.MWBGetM:
 		s.net = append(s.net, core.Msg{Kind: core.MWBFill, Src: m.Src, Addr: m.Addr})
-	case core.MWBFill:
-		s.procs[m.Src].wb.Fill(m.Addr)
-	case core.MWBData:
-		s.dirs[m.Dir].mem[m.Addr] = int(m.Val)
-		s.net = append(s.net, core.Msg{Kind: core.MWBAck, Src: m.Src})
-	case core.MWBFlag:
-		ds := &s.dirs[m.Dir]
+	case core.MWBData, core.MWBFlag:
 		ack := core.Msg{Kind: core.MWBAck, Src: m.Src}
-		if m.Atomic {
-			old := ds.mem[m.Addr]
-			ds.mem[m.Addr] += int(m.Val)
-			ack.Atomic, ack.Val, ack.Tag = true, uint64(old), m.Tag
-		} else {
-			ds.mem[m.Addr] = int(m.Val)
+		if old := commit(s, m); m.Atomic {
+			ack.Atomic, ack.Val, ack.Tag = true, old, m.Tag
 		}
 		s.net = append(s.net, ack)
-	case core.MWBAck:
-		ps := &s.procs[m.Src]
-		ps.wb.NoteAck()
-		if m.Atomic {
-			ps.regs[m.Tag] = int(m.Val)
-			ps.atomWait = false
-		}
 	default:
 		panic(fmt.Sprintf("litmus: unknown message kind %d", m.Kind))
 	}
 }
 
-// mpCommit applies a FIFO-drained posted write at its directory.
-func (c *checker) mpCommit(s *world, m core.Msg) {
-	ds := &s.dirs[m.Dir]
+// commit applies m's memory effect at its directory — a write, or a
+// fetch-add for an atomic — and returns the cell's previous value.
+func commit(s *world, m core.Msg) uint64 {
+	cell := &s.dirs[m.Dir].mem[m.Addr]
+	old := *cell
 	if m.Atomic {
-		old := ds.mem[m.Addr]
-		ds.mem[m.Addr] += int(m.Val)
-		s.net = append(s.net, core.Msg{Kind: core.MAtomicResp, Src: m.Src,
-			Val: uint64(old), Tag: m.Tag})
-		return
+		*cell += int(m.Val)
+	} else {
+		*cell = int(m.Val)
 	}
-	ds.mem[m.Addr] = int(m.Val)
+	return uint64(old)
+}
+
+// commitAtomic commits a CORD relaxed store or MP posted write; an atomic's
+// old value goes back to its issuer.
+func (c *checker) commitAtomic(s *world, m core.Msg) {
+	if old := commit(s, m); m.Atomic {
+		s.net = append(s.net, core.Msg{Kind: core.MAtomicResp, Src: m.Src, Val: old, Tag: m.Tag})
+	}
 }
 
 // commitRelease applies an eligible release at directory d: the memory (or
 // fetch-add) effect, the directory bookkeeping, and the acknowledgment.
 func (c *checker) commitRelease(s *world, d int, m core.Msg) {
-	ds := &s.dirs[d]
-	switch {
-	case m.Atomic:
-		old := ds.mem[m.Addr]
-		ds.mem[m.Addr] += int(m.Val)
-		s.net = append(s.net, core.Msg{Kind: core.MAtomicResp, Src: m.Src,
-			Val: uint64(old), Tag: m.Tag})
-	case !m.Barrier:
-		ds.mem[m.Addr] = int(m.Val)
+	if !m.Barrier {
+		c.commitAtomic(s, m)
 	}
-	ds.cord.CommitRelease(m)
+	s.dirs[d].cord.CommitRelease(m)
 	s.net = append(s.net, core.Msg{Kind: core.MAck, Src: m.Src, Dir: d, Ep: m.Ep})
 }
 
 // serveNotify serves an eligible notification request; self-notifications
 // are absorbed locally and may unblock buffered work.
 func (c *checker) serveNotify(s *world, d int, m core.Msg) {
-	out, wire, _, _ := s.dirs[d].cord.SendNotify(m, d)
+	out, wire := s.dirs[d].cord.SendNotify(m, d)
 	if wire {
 		s.net = append(s.net, out)
 	} else {
@@ -514,6 +270,5 @@ func (c *checker) serveNotify(s *world, d int, m core.Msg) {
 func (c *checker) reeval(s *world, d int) {
 	s.dirs[d].cord.Reeval(d,
 		func(m core.Msg) { c.commitRelease(s, d, m) },
-		func(out core.Msg) { s.net = append(s.net, out) },
-		func() {})
+		func(out core.Msg) { s.net = append(s.net, out) })
 }

@@ -449,12 +449,19 @@ func permProc(np, ps *procState, g *perm) {
 	for d := range ps.cord.ByDir {
 		np.cord.ByDir[g.dirs[d]] = append(np.cord.ByDir[g.dirs[d]][:0], ps.cord.ByDir[d]...)
 	}
-	if ps.mp.Seq != nil {
-		for d, s := range ps.mp.Seq {
-			np.mp.Seq[g.dirs[d]] = s
-		}
+	for d, s := range ps.mp.Seq {
+		np.mp.Seq[g.dirs[d]] = s
 	}
-	np.wb = ps.wb.Relabel(g.addr64, g.val64)
+	switch ps.proto {
+	case CORDP:
+		np.cord.WC.Relabel(g.addr64)
+	case SOP:
+		np.so.WC.Relabel(g.addr64)
+	case MPP:
+		np.mp.WC.Relabel(g.addr64)
+	case WBP:
+		np.wb = ps.wb.Relabel(g.addr64, g.val64)
+	}
 }
 
 func permDir(nd, ds *dirState, g *perm) {

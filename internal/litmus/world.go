@@ -7,28 +7,19 @@ import (
 )
 
 // procState is one processor: program position, registers, and the
-// protocol-core state for whichever model the processor runs (the same
-// core.* state structs the simulator adapters wrap). Only the configured
-// protocol's state is initialized; the others stay zero.
+// protocol-core state for the model the processor runs, proto (the same
+// core.* state structs the simulator adapters wrap, issued waits and
+// write-combining buffer included). Only that protocol's state is used,
+// copied and encoded; the others stay zero.
 type procState struct {
-	pc   int
-	regs [MaxRegs]int
+	pc    int
+	regs  [MaxRegs]int
+	proto ProtoKind
 
 	cord core.CordProc
 	so   core.SOProc
 	mp   core.MPProc
 	wb   core.WBProc
-
-	// flushWait, when >= 0, is the epoch of an injected overflow-flush
-	// release (§4.3) the processor stalls on before retrying the op at pc.
-	flushWait int64
-	// atomWait blocks the processor until a far atomic's value response.
-	atomWait bool
-	// barIssued/mpFlushPending drive MP's flushing-read barrier: the
-	// fan-out is issued once, then the processor stalls until every
-	// destination has answered.
-	barIssued      bool
-	mpFlushPending int
 }
 
 // dirState is one directory: the memory cells it homes plus the
@@ -69,8 +60,8 @@ func newWorld(t Test, cfg Config) *world {
 	}
 	for p := range w.procs {
 		ps := &w.procs[p]
-		ps.flushWait = -1
-		switch cfg.protoFor(p) {
+		ps.proto = cfg.protoFor(p)
+		switch ps.proto {
 		case CORDP:
 			ps.cord = core.NewCordProc(MaxDirs)
 		case MPP:
@@ -117,15 +108,40 @@ func (w *world) copyTo(nw *world) {
 	nw.free = w.free
 }
 
-// copyTo makes dst an independent copy of ps, reusing dst's storage. SOProc
-// is a plain value and copies with the struct.
+// copyTo makes dst an independent copy of ps, reusing dst's storage. Only
+// the running protocol's state is copied: a processor index runs the same
+// protocol in every world of a check, so dst's other states are as zero as
+// ps's.
 func (ps *procState) copyTo(dst *procState) {
-	cord, mp, wb := dst.cord, dst.mp, dst.wb
-	*dst = *ps
-	dst.cord, dst.mp, dst.wb = cord, mp, wb
-	ps.cord.CopyTo(&dst.cord)
-	ps.mp.CopyTo(&dst.mp)
-	ps.wb.CopyTo(&dst.wb)
+	dst.pc, dst.regs, dst.proto = ps.pc, ps.regs, ps.proto
+	switch ps.proto {
+	case CORDP:
+		ps.cord.CopyTo(&dst.cord)
+	case SOP:
+		dst.so = ps.so
+	case MPP:
+		ps.mp.CopyTo(&dst.mp)
+	case WBP:
+		ps.wb.CopyTo(&dst.wb)
+	}
+}
+
+// appendKey appends the processor's encoding: pc, registers, and the
+// running protocol's state.
+func (ps *procState) appendKey(buf []byte) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(ps.pc))
+	for _, r := range ps.regs {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(r))
+	}
+	switch ps.proto {
+	case CORDP:
+		return ps.cord.AppendBinary(buf)
+	case SOP:
+		return ps.so.AppendBinary(buf)
+	case MPP:
+		return ps.mp.AppendBinary(buf)
+	}
+	return ps.wb.AppendBinary(buf)
 }
 
 // live panics when w was recycled: something still held a world the
@@ -188,19 +204,7 @@ func (f *freeList) put(w *world) {
 func (w *world) appendKey(buf []byte) []byte {
 	w.live("key")
 	for p := range w.procs {
-		ps := &w.procs[p]
-		buf = binary.BigEndian.AppendUint32(buf, uint32(ps.pc))
-		for _, r := range ps.regs {
-			buf = binary.BigEndian.AppendUint64(buf, uint64(r))
-		}
-		buf = binary.BigEndian.AppendUint64(buf, uint64(ps.flushWait))
-		buf = appendBool(buf, ps.atomWait)
-		buf = appendBool(buf, ps.barIssued)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(ps.mpFlushPending))
-		buf = ps.cord.AppendBinary(buf)
-		buf = ps.so.AppendBinary(buf)
-		buf = ps.mp.AppendBinary(buf)
-		buf = ps.wb.AppendBinary(buf)
+		buf = w.procs[p].appendKey(buf)
 	}
 	for d := range w.dirs {
 		ds := &w.dirs[d]
@@ -211,11 +215,4 @@ func (w *world) appendKey(buf []byte) []byte {
 		buf = ds.mp.AppendBinary(buf)
 	}
 	return core.AppendMsgSetBinary(buf, w.net)
-}
-
-func appendBool(buf []byte, b bool) []byte {
-	if b {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
 }

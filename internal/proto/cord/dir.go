@@ -25,10 +25,6 @@ type dir struct {
 	st core.CordDir
 
 	occCnt, occNoti, occLargest, occNetBuf *stats.Occupancy
-
-	// Recycles counts how many times a buffered message was re-evaluated
-	// without becoming eligible, for diagnostics.
-	Recycles int
 }
 
 func newDir(sys *proto.System, id noc.NodeID, cfg Config) *dir {
@@ -101,9 +97,8 @@ func (d *dir) commit(m *core.Msg) {
 // becomes eligible on this count schedules its own commit at least one
 // commit latency later, so its LLC write never overtakes this one.
 func (d *dir) onRelaxed(src noc.NodeID, m *core.Msg) {
-	if d.st.NoteRelaxed(m.Src, m.Ep) {
-		d.occCnt.Inc()
-	}
+	d.st.NoteRelaxed(m.Src, m.Ep)
+	d.occCnt.Set(len(d.st.Cnt))
 	if rec := d.Obs; rec.Take() {
 		// The store is directory-ordered the moment its counter bumps.
 		rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KOrdered,
@@ -117,7 +112,6 @@ func (d *dir) onRelaxed(src noc.NodeID, m *core.Msg) {
 func (d *dir) onRelease(src noc.NodeID, m *core.Msg) {
 	if !d.st.ReleaseEligible(*m) {
 		d.st.BufferRelease(*m)
-		d.occNetBuf.Inc()
 		d.noteRetry(stats.ClassReleaseData, src, m.Ep)
 		d.Sys.FreeMsg(m)
 		return
@@ -125,9 +119,10 @@ func (d *dir) onRelease(src noc.NodeID, m *core.Msg) {
 	d.Later(d.Sys.Timing.CommitLatency(), m)
 }
 
-// noteRetry records a recycle-buffer admission: the depth for the metrics
-// registry and, when sampled, a KRetry event.
+// noteRetry records a recycle-buffer admission: the buffer's occupancy, the
+// depth for the metrics registry and, when sampled, a KRetry event.
 func (d *dir) noteRetry(class stats.MsgClass, src noc.NodeID, ep uint64) {
+	d.occNetBuf.Set(d.st.Buffered())
 	rec := d.Obs
 	rec.DirDepth(d.st.Buffered())
 	if rec.Take() {
@@ -146,15 +141,8 @@ func (d *dir) commitRelease(m *core.Msg) {
 	case !m.Barrier:
 		d.CommitValue(memsys.Addr(m.Addr), m.Val)
 	}
-	freedCnt, freedNoti, newLargest := d.st.CommitRelease(*m)
-	if newLargest {
+	if d.st.CommitRelease(*m) {
 		d.occLargest.Inc()
-	}
-	if freedCnt {
-		d.occCnt.Dec()
-	}
-	if freedNoti {
-		d.occNoti.Dec()
 	}
 	src := d.Sys.CoreAt(m.Src)
 	class, size := stats.ClassAck, proto.AckBytes
@@ -165,7 +153,8 @@ func (d *dir) commitRelease(m *core.Msg) {
 		rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KRelCommit,
 			Src: d.ID.Obs(), Dst: src.Obs(), Seq: m.Ep, Addr: m.Addr})
 	}
-	*m = core.Msg{Kind: core.MAck, Src: m.Src, Dir: d.Ix, Ep: m.Ep}
+	// A release atomic's acknowledgment is its value response too.
+	*m = core.Msg{Kind: core.MAck, Src: m.Src, Dir: d.Ix, Ep: m.Ep, Atomic: m.Atomic}
 	d.Sys.Net.Send(d.ID, src, class, size, m)
 	d.reeval()
 }
@@ -175,7 +164,6 @@ func (d *dir) commitRelease(m *core.Msg) {
 func (d *dir) onReqNotify(src noc.NodeID, m *core.Msg) {
 	if !d.st.ReqEligible(*m) {
 		d.st.BufferReq(*m)
-		d.occNetBuf.Inc()
 		d.noteRetry(stats.ClassReqNotify, src, m.Ep)
 		return
 	}
@@ -186,17 +174,12 @@ func (d *dir) onReqNotify(src noc.NodeID, m *core.Msg) {
 // rule: the store-counter entry retires (§4.3) and the notification either
 // goes on the wire or — for a degenerate self-notification — is absorbed.
 func (d *dir) serveNotify(cm core.Msg) {
-	out, wire, freedCnt, selfNew := d.st.SendNotify(cm, d.Ix)
-	if freedCnt {
-		d.occCnt.Dec()
-	}
+	out, wire := d.st.SendNotify(cm, d.Ix)
 	if !wire {
-		if selfNew {
-			d.occNoti.Inc()
-		}
 		d.reeval()
 		return
 	}
+	d.occCnt.Set(len(d.st.Cnt))
 	d.wireNotify(out)
 }
 
@@ -213,32 +196,22 @@ func (d *dir) wireNotify(out core.Msg) {
 // onNotify counts a notification toward the corresponding Release
 // (Alg. 2 lines 29-30).
 func (d *dir) onNotify(m *core.Msg) {
-	if d.st.NoteNotify(m.Src, m.Ep) {
-		d.occNoti.Inc()
-	}
+	d.st.NoteNotify(m.Src, m.Ep)
 	d.reeval()
 }
 
 // reeval runs the core recycle fixpoint: committing one Release may unblock
-// a buffered request-for-notification for a later epoch and vice versa.
-// Occupancy deltas from entries the rules reclaim internally (served
-// requests) are reconciled afterwards — no simulated time passes inside the
-// fixpoint, so the deferred updates are indistinguishable.
+// a buffered request-for-notification for a later epoch and vice versa. The
+// table occupancies follow the tables afterwards: no simulated time passes
+// inside the fixpoint, and within it the counter and buffer tables only
+// shrink and the notification table only grows, so the peaks are the same.
 func (d *dir) reeval() {
-	cntB, notiB, reqB := len(d.st.Cnt), len(d.st.Noti), len(d.st.PendingReq)
 	d.st.Reeval(d.Ix,
-		func(m core.Msg) { d.occNetBuf.Dec(); d.Later(d.Sys.Timing.CommitLatency(), d.Sys.NewMsg(m)) },
-		func(out core.Msg) { d.wireNotify(out) },
-		func() { d.Recycles++ })
-	for n := cntB - len(d.st.Cnt); n > 0; n-- {
-		d.occCnt.Dec()
-	}
-	for n := len(d.st.Noti) - notiB; n > 0; n-- {
-		d.occNoti.Inc()
-	}
-	for n := reqB - len(d.st.PendingReq); n > 0; n-- {
-		d.occNetBuf.Dec()
-	}
+		func(m core.Msg) { d.Later(d.Sys.Timing.CommitLatency(), d.Sys.NewMsg(m)) },
+		func(out core.Msg) { d.wireNotify(out) })
+	d.occCnt.Set(len(d.st.Cnt))
+	d.occNoti.Set(len(d.st.Noti))
+	d.occNetBuf.Set(d.st.Buffered())
 }
 
 // Protocol is the proto.Builder for CORD (and, with SeqBits set, SEQ-N).
@@ -280,7 +253,7 @@ func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 	cpus := make([]proto.CPU, len(cores))
 	for i, id := range cores {
 		c := newCPU(sys, id, &sys.Run.Procs[i], p.Cfg, cp)
-		sys.Net.Register(id, c.handle)
+		sys.Net.Register(id, c.Handle)
 		cpus[i] = c
 	}
 	return cpus

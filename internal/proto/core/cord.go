@@ -41,11 +41,18 @@ type CordProc struct {
 	SeqIssued uint64     // SEQ-N: stores since the last release, across all dirs
 	Unacked   []EpochRec // unacked epochs, ascending
 	ByDir     [][]uint64 // unacked epochs per destination directory, ascending
+
+	// FlushWait, when >= 0, is the epoch of an injected overflow-flush
+	// release (§4.3) the processor stalls on before re-running the op.
+	FlushWait int64
+	AtomWait  bool // a far atomic's value is outstanding
+	WBPending int  // unacknowledged write-back stores (source-ordered, §4.4)
+	WC        Combiner
 }
 
 // NewCordProc returns processor state sized for ndirs directories.
 func NewCordProc(ndirs int) CordProc {
-	return CordProc{Cnt: make([]uint64, ndirs), ByDir: make([][]uint64, ndirs)}
+	return CordProc{Cnt: make([]uint64, ndirs), ByDir: make([][]uint64, ndirs), FlushWait: -1}
 }
 
 // CopyTo deep-copies the state into dst, reusing dst's storage (the model
@@ -74,7 +81,7 @@ func (p *CordProc) Provisioned(cp CordParams, d int) bool {
 	if len(p.Unacked) >= cp.ProcUnackedCap {
 		return false
 	}
-	if p.WindowBlocked(cp) {
+	if p.windowBlocked(cp) {
 		return false
 	}
 	if len(p.ByDir[d]) >= cp.DirCntCapPerProc || len(p.ByDir[d]) >= cp.DirNotiCapPerProc {
@@ -83,54 +90,46 @@ func (p *CordProc) Provisioned(cp CordParams, d int) bool {
 	return true
 }
 
-// WindowBlocked reports whether the epoch in-flight window is exhausted:
+// windowBlocked reports whether the epoch in-flight window is exhausted:
 // the oldest unacknowledged epoch is EpochWindow behind the current one, so
 // a new epoch's number would be ambiguous at the configured bit-width.
-func (p *CordProc) WindowBlocked(cp CordParams) bool {
+func (p *CordProc) windowBlocked(cp CordParams) bool {
 	return len(p.Unacked) > 0 && p.Ep-p.Unacked[0].Ep >= cp.EpochWindow
 }
 
-// Admit is RelaxedAdmit's verdict.
-type Admit uint8
-
-const (
-	AdmitOK        Admit = iota
-	AdmitOverflow        // store counter (or SEQ-N sequence) would saturate
-	AdmitTableFull       // no free per-directory counter slot at the processor
-)
-
 // RelaxedAdmit decides whether a relaxed store to directory d can be counted
-// in the current epoch, or whether the processor must first flush (issue an
-// empty release) to open a new epoch.
-func (p *CordProc) RelaxedAdmit(cp CordParams, d int) Admit {
+// in the current epoch (WaitNone), or whether the processor must first flush
+// (issue an empty release) to open a new epoch because the store counter (or
+// SEQ-N sequence) would saturate (WaitOverflow) or no per-directory counter
+// slot is free (WaitCntTable).
+func (p *CordProc) RelaxedAdmit(cp CordParams, d int) WaitOn {
 	if p.Cnt[d] >= cp.CntMax || (cp.SeqMode && p.SeqIssued >= cp.CntMax) {
-		return AdmitOverflow
+		return WaitOverflow
 	}
 	if p.Cnt[d] == 0 && p.CntLive >= cp.ProcCntCap {
-		return AdmitTableFull
+		return WaitCntTable
 	}
-	return AdmitOK
+	return WaitNone
 }
 
 // NoteRelaxed counts one admitted relaxed store toward directory d in the
-// current epoch. newEntry reports a fresh counter-table allocation.
-func (p *CordProc) NoteRelaxed(d int) (ep uint64, newEntry bool) {
+// current epoch and returns the epoch.
+func (p *CordProc) NoteRelaxed(d int) uint64 {
 	if p.Cnt[d] == 0 {
 		p.CntLive++
-		newEntry = true
 	}
 	p.Cnt[d]++
 	p.SeqIssued++
-	return p.Ep, newEntry
+	return p.Ep
 }
 
 // Dirty reports whether any relaxed stores are uncounted-for in the current
 // epoch (some directory's counter is nonzero).
 func (p *CordProc) Dirty() bool { return p.CntLive > 0 }
 
-// DirtyOutside reports whether the current epoch holds relaxed stores bound
+// dirtyOutside reports whether the current epoch holds relaxed stores bound
 // for a directory other than d.
-func (p *CordProc) DirtyOutside(d int) bool {
+func (p *CordProc) dirtyOutside(d int) bool {
 	for i, n := range p.Cnt {
 		if i != d && n > 0 {
 			return true
@@ -139,9 +138,9 @@ func (p *CordProc) DirtyOutside(d int) bool {
 	return false
 }
 
-// UnackedOutside reports whether an unacknowledged release is pending at a
+// unackedOutside reports whether an unacknowledged release is pending at a
 // directory other than d.
-func (p *CordProc) UnackedOutside(d int) bool {
+func (p *CordProc) unackedOutside(d int) bool {
 	for i, eps := range p.ByDir {
 		if i != d && len(eps) > 0 {
 			return true
@@ -150,8 +149,8 @@ func (p *CordProc) UnackedOutside(d int) bool {
 	return false
 }
 
-// EpochLive reports whether epoch ep still awaits acknowledgment.
-func (p *CordProc) EpochLive(ep uint64) bool {
+// epochLive reports whether epoch ep still awaits acknowledgment.
+func (p *CordProc) epochLive(ep uint64) bool {
 	for _, r := range p.Unacked {
 		if r.Ep == ep {
 			return true
@@ -280,7 +279,7 @@ func (p *CordProc) AckRelease(ep uint64) (done bool) {
 	p.Unacked = append(p.Unacked[:i], p.Unacked[i+1:]...)
 	for d, eps := range p.ByDir {
 		n := 0
-		for n < len(eps) && !p.EpochLive(eps[n]) {
+		for n < len(eps) && !p.epochLive(eps[n]) {
 			n++
 		}
 		if n > 0 {
@@ -289,6 +288,165 @@ func (p *CordProc) AckRelease(ep uint64) (done bool) {
 		}
 	}
 	return true
+}
+
+// Issue is the CORD processor's issue rule: Alg. 1's relaxed and release
+// paths, §4.3's provisioning stalls and overflow flushes, §4.4's barriers and
+// source-ordered write-back stores, and the write-combining buffer, which a
+// relaxed store opens and a release, an atomic, a write-back store or a
+// barrier that sends closes.
+func (p *CordProc) Issue(cp CordParams, op *Op, buf []Msg) ([]Msg, Wait) {
+	switch op.Kind {
+	case OpBarrier:
+		if !op.Release {
+			return buf, Wait{}
+		}
+		return p.barrier(cp, op.Src, buf)
+	case OpWriteBack:
+		if op.Release {
+			// A release write-back cannot be source-ordered against
+			// directory-ordered stores: fence them with a barrier first,
+			// then wait out the earlier write-backs.
+			if p.Dirty() || len(p.Unacked) > 0 {
+				return p.barrier(cp, op.Src, buf)
+			}
+			if p.WBPending > 0 {
+				return buf, Wait{Verdict: Refuse, On: WaitAcks}
+			}
+		}
+		p.WBPending++
+		p.WC.Clear()
+		return append(buf, Msg{Kind: MWBData, Src: op.Src, Dir: op.Dir,
+			Addr: op.Addr, Val: op.Val, Size: op.Size}), Wait{}
+	}
+	atomic := op.Kind == OpAtomic
+	d := op.Dir
+	if op.Release {
+		if !p.Provisioned(cp, d) {
+			return buf, p.unprovisioned(cp, d)
+		}
+		if cp.NoNotifications && (p.dirtyOutside(d) || p.unackedOutside(d)) {
+			// Ablated §4.2: drain the other directories with empty releases
+			// (sharing the open epoch) and wait for their acks first.
+			out, ok, bad := p.IssueBarrier(cp, d, op.Src, buf)
+			if !ok {
+				return buf, p.unprovisioned(cp, bad)
+			}
+			v := Refuse
+			if len(out) > len(buf) {
+				v = Retry
+			}
+			return out, Wait{Verdict: v, On: WaitDrain, Dir: d}
+		}
+		buf = p.IssueRelease(d, Msg{Src: op.Src, Addr: op.Addr, Val: op.Val,
+			Size: op.Size, Atomic: atomic, Tag: op.Tag}, buf)
+		p.WC.Clear()
+		if atomic {
+			p.AtomWait = true
+			return buf, Wait{Verdict: Await, On: WaitAtomic}
+		}
+		return buf, Wait{}
+	}
+	if !atomic && p.WC.Hit(op.Addr) {
+		return buf, Wait{}
+	}
+	if on := p.RelaxedAdmit(cp, d); on != WaitNone {
+		// Flush: an empty release to d through the full release path opens
+		// a new epoch; the op re-runs once it is acknowledged.
+		if !p.Provisioned(cp, d) {
+			return buf, p.unprovisioned(cp, d)
+		}
+		p.FlushWait = int64(p.Ep)
+		buf = p.IssueRelease(d, Msg{Src: op.Src, Barrier: true}, buf)
+		p.WC.Clear()
+		return buf, Wait{Verdict: Retry, On: on}
+	}
+	buf = append(buf, Msg{Kind: MRelaxed, Src: op.Src, Dir: d, Ep: p.NoteRelaxed(d),
+		Addr: op.Addr, Val: op.Val, Size: op.Size, Atomic: atomic, Tag: op.Tag})
+	if atomic {
+		p.WC.Clear()
+		p.AtomWait = true
+		return buf, Wait{Verdict: Await, On: WaitAtomic}
+	}
+	p.WC.Set(op.Addr)
+	return buf, Wait{}
+}
+
+// barrier broadcasts empty releases to the dirty directories and re-runs
+// until every epoch is acknowledged (§4.4).
+func (p *CordProc) barrier(cp CordParams, src int, buf []Msg) ([]Msg, Wait) {
+	if p.Dirty() {
+		out, ok, bad := p.IssueBarrier(cp, -1, src, buf)
+		if !ok {
+			return buf, p.unprovisioned(cp, bad)
+		}
+		p.WC.Clear()
+		return out, Wait{Verdict: Retry, On: WaitEpochs}
+	}
+	if len(p.Unacked) > 0 {
+		return buf, Wait{Verdict: Refuse, On: WaitEpochs}
+	}
+	return buf, Wait{}
+}
+
+// unprovisioned refuses an op until directory d is provisioned for one more
+// release, naming whether the epoch window or a table is what is full.
+func (p *CordProc) unprovisioned(cp CordParams, d int) Wait {
+	on := WaitTables
+	if p.windowBlocked(cp) {
+		on = WaitWindow
+	}
+	return Wait{Verdict: Refuse, On: on, Dir: d}
+}
+
+// Blocked reports whether the wait w still holds.
+func (p *CordProc) Blocked(cp CordParams, w Wait) bool {
+	switch w.On {
+	case WaitAtomic:
+		return p.AtomWait
+	case WaitAcks:
+		return p.WBPending > 0
+	case WaitEpochs:
+		return len(p.Unacked) > 0
+	case WaitDrain:
+		return p.unackedOutside(w.Dir)
+	case WaitWindow, WaitTables:
+		return !p.Provisioned(cp, w.Dir)
+	case WaitOverflow, WaitCntTable:
+		return p.FlushWait >= 0
+	}
+	return false
+}
+
+// Waiting reports whether an issued wait (an atomic's value, an overflow
+// flush's ack) holds the processor: no op, load included, may issue.
+func (p *CordProc) Waiting() bool { return p.AtomWait || p.FlushWait >= 0 }
+
+// Receive applies a reply to the processor: a release acknowledgment
+// (retired reports that its epoch left the unacked table), an atomic's value,
+// or a write-back acknowledgment. An acknowledgment with Atomic set answers a
+// release atomic too.
+func (p *CordProc) Receive(m *Msg) (retired bool) {
+	switch m.Kind {
+	case MAck:
+		retired = p.AckRelease(m.Ep)
+		if retired && p.FlushWait == int64(m.Ep) {
+			p.FlushWait = -1
+		}
+		if m.Atomic {
+			p.AtomWait = false
+		}
+	case MAtomicResp:
+		p.AtomWait = false
+	case MWBAck:
+		if p.WBPending == 0 {
+			panic("core: spurious CORD write-back ack")
+		}
+		p.WBPending--
+	default:
+		panic(fmt.Sprintf("core: CORD processor got message kind %d", m.Kind))
+	}
+	return retired
 }
 
 // PE is one (processor, epoch) entry in a directory-side table.
@@ -344,34 +502,25 @@ func get(tab []PE, proc int, ep uint64) uint64 {
 	return 0
 }
 
-func add(tab *[]PE, proc int, ep uint64) (newEntry bool) {
+func add(tab *[]PE, proc int, ep uint64) {
 	if i := find(*tab, proc, ep); i >= 0 {
 		(*tab)[i].N++
-		return false
+		return
 	}
 	*tab = append(*tab, PE{Proc: proc, Ep: ep, N: 1})
-	return true
 }
 
-func drop(tab *[]PE, proc int, ep uint64) (freed bool) {
+func drop(tab *[]PE, proc int, ep uint64) {
 	if i := find(*tab, proc, ep); i >= 0 {
 		*tab = append((*tab)[:i], (*tab)[i+1:]...)
-		return true
 	}
-	return false
 }
 
 // NoteRelaxed counts one committed relaxed store from proc's epoch ep.
-// newEntry reports a fresh store-counter allocation.
-func (d *CordDir) NoteRelaxed(proc int, ep uint64) (newEntry bool) {
-	return add(&d.Cnt, proc, ep)
-}
+func (d *CordDir) NoteRelaxed(proc int, ep uint64) { add(&d.Cnt, proc, ep) }
 
 // NoteNotify counts one received notification for proc's epoch ep.
-// newEntry reports a fresh notification-table allocation.
-func (d *CordDir) NoteNotify(proc int, ep uint64) (newEntry bool) {
-	return add(&d.Noti, proc, ep)
-}
+func (d *CordDir) NoteNotify(proc int, ep uint64) { add(&d.Noti, proc, ep) }
 
 // prevCommitted reports whether the message's named predecessor release has
 // committed at this directory (point-to-point order, Alg. 2 line 9).
@@ -404,31 +553,32 @@ func (d *CordDir) BufferRelease(m Msg) { d.PendingRel = append(d.PendingRel, m) 
 func (d *CordDir) BufferReq(m Msg) { d.PendingReq = append(d.PendingReq, m) }
 
 // CommitRelease applies an eligible release's directory bookkeeping: the
-// processor's largest committed epoch advances and the epoch's counter
-// entries retire. The memory-cell effect (write, fetch-add, or nothing for
-// a barrier) is the driver's, as is sending MAck{Src, Dir, Ep} back.
-func (d *CordDir) CommitRelease(m Msg) (freedCnt, freedNoti, newLargest bool) {
+// processor's largest committed epoch advances (newLargest reports its
+// first) and the epoch's counter entries retire. The memory-cell effect
+// (write, fetch-add, or nothing for a barrier) is the driver's, as is
+// sending MAck{Src, Dir, Ep} back.
+func (d *CordDir) CommitRelease(m Msg) (newLargest bool) {
 	newLargest = d.Largest[m.Src] < 0
 	if int64(m.Ep) > d.Largest[m.Src] {
 		d.Largest[m.Src] = int64(m.Ep)
 	}
-	freedCnt = drop(&d.Cnt, m.Src, m.Ep)
-	freedNoti = drop(&d.Noti, m.Src, m.Ep)
-	return
+	drop(&d.Cnt, m.Src, m.Ep)
+	drop(&d.Noti, m.Src, m.Ep)
+	return newLargest
 }
 
 // SendNotify serves an eligible notification request: the epoch's
 // store-counter entry retires (§4.3) and the notification either travels to
 // another directory (wire=true, out is the MNotify to send) or — for the
 // degenerate self-notification — is absorbed locally.
-func (d *CordDir) SendNotify(m Msg, self int) (out Msg, wire bool, freedCnt, selfNewEntry bool) {
-	freedCnt = drop(&d.Cnt, m.Src, m.Ep)
+func (d *CordDir) SendNotify(m Msg, self int) (out Msg, wire bool) {
+	drop(&d.Cnt, m.Src, m.Ep)
 	out = Msg{Kind: MNotify, Src: m.Src, Dir: m.Dst, Ep: m.Ep}
 	if m.Dst == self {
-		selfNewEntry = d.NoteNotify(m.Src, m.Ep)
-		return out, false, freedCnt, selfNewEntry
+		d.NoteNotify(m.Src, m.Ep)
+		return out, false
 	}
-	return out, true, freedCnt, false
+	return out, true
 }
 
 // Reeval drains the recycle buffers to a fixpoint, in the simulator's order:
@@ -437,11 +587,10 @@ func (d *CordDir) SendNotify(m Msg, self int) (out Msg, wire bool, freedCnt, sel
 // release (already removed from the buffer; the driver applies or schedules
 // CommitRelease plus the memory effect and the ack). notify receives each
 // MNotify that must travel to another directory; self-notifications are
-// absorbed here and feed the fixpoint. recycle is called once per buffered
-// message re-examined without progress (the directory's recycle counter).
-// Eligibility is monotone — commits and notifications only enable more
-// messages — so the drain order cannot change the reachable fixpoint.
-func (d *CordDir) Reeval(self int, commit func(Msg), notify func(Msg), recycle func()) {
+// absorbed here and feed the fixpoint. Eligibility is monotone — commits
+// and notifications only enable more messages — so the drain order cannot
+// change the reachable fixpoint.
+func (d *CordDir) Reeval(self int, commit func(Msg), notify func(Msg)) {
 	for {
 		progress := false
 		keep := d.PendingRel[:0]
@@ -450,7 +599,6 @@ func (d *CordDir) Reeval(self int, commit func(Msg), notify func(Msg), recycle f
 				progress = true
 				commit(m)
 			} else {
-				recycle()
 				keep = append(keep, m)
 			}
 		}
@@ -459,12 +607,11 @@ func (d *CordDir) Reeval(self int, commit func(Msg), notify func(Msg), recycle f
 		for _, m := range d.PendingReq {
 			if d.ReqEligible(m) {
 				progress = true
-				out, wire, _, _ := d.SendNotify(m, self)
+				out, wire := d.SendNotify(m, self)
 				if wire {
 					notify(out)
 				}
 			} else {
-				recycle()
 				keepQ = append(keepQ, m)
 			}
 		}

@@ -87,22 +87,22 @@ func TestCordProcAdmitVerdicts(t *testing.T) {
 	cp.CntMax = 2
 	cp.ProcCntCap = 1
 	p := NewCordProc(2)
-	if v := p.RelaxedAdmit(cp, 0); v != AdmitOK {
+	if v := p.RelaxedAdmit(cp, 0); v != WaitNone {
 		t.Fatalf("fresh: %v", v)
 	}
 	p.NoteRelaxed(0)
 	p.NoteRelaxed(0)
-	if v := p.RelaxedAdmit(cp, 0); v != AdmitOverflow {
+	if v := p.RelaxedAdmit(cp, 0); v != WaitOverflow {
 		t.Fatalf("saturated counter: %v", v)
 	}
-	if v := p.RelaxedAdmit(cp, 1); v != AdmitTableFull {
+	if v := p.RelaxedAdmit(cp, 1); v != WaitCntTable {
 		t.Fatalf("new entry over ProcCntCap: %v", v)
 	}
 	cp.SeqMode = true
 	p2 := NewCordProc(2)
 	p2.NoteRelaxed(0)
 	p2.NoteRelaxed(1)
-	if v := p2.RelaxedAdmit(cp, 0); v != AdmitOverflow {
+	if v := p2.RelaxedAdmit(cp, 0); v != WaitOverflow {
 		t.Fatalf("SEQ mode counts across dirs: %v", v)
 	}
 }
@@ -167,7 +167,7 @@ func TestCordDirEligibilityAndReeval(t *testing.T) {
 	d.NoteRelaxed(0, 0)
 	d.NoteNotify(0, 0)
 	var committed []Msg
-	d.Reeval(0, func(m Msg) { committed = append(committed, m) }, nil, func() {})
+	d.Reeval(0, func(m Msg) { committed = append(committed, m) }, nil)
 	if len(committed) != 1 || d.Buffered() != 0 {
 		t.Fatalf("release must drain: %d committed, %d buffered", len(committed), d.Buffered())
 	}
@@ -183,17 +183,16 @@ func TestCordDirEligibilityAndReeval(t *testing.T) {
 		t.Fatal("predecessor not committed")
 	}
 	d.BufferRelease(rel2)
-	recycles := 0
-	d.Reeval(0, func(m Msg) { d.CommitRelease(m) }, nil, func() { recycles++ })
-	if recycles != 1 {
-		t.Fatalf("kept entry must recycle once, got %d", recycles)
+	d.Reeval(0, func(m Msg) { d.CommitRelease(m) }, nil)
+	if d.Buffered() != 1 {
+		t.Fatalf("rel2 must stay buffered, %d buffered", d.Buffered())
 	}
 	committed = nil
 	if !d.ReleaseEligible(rel1) {
 		t.Fatal("rel1 has no preconditions")
 	}
 	d.CommitRelease(rel1)
-	d.Reeval(0, func(m Msg) { d.CommitRelease(m); committed = append(committed, m) }, nil, func() {})
+	d.Reeval(0, func(m Msg) { d.CommitRelease(m); committed = append(committed, m) }, nil)
 	if len(committed) != 1 || committed[0].Ep != 2 {
 		t.Fatalf("rel2 must drain after rel1 commits: %+v", committed)
 	}
@@ -206,17 +205,17 @@ func TestCordDirSendNotify(t *testing.T) {
 	if !d.ReqEligible(req) {
 		t.Fatal("count arrived, no predecessor")
 	}
-	out, wire, freed, _ := d.SendNotify(req, 0)
-	if !wire || out.Kind != MNotify || out.Dir != 2 || out.Ep != 3 || !freed {
-		t.Fatalf("bad notify: %+v wire=%v freed=%v", out, wire, freed)
+	out, wire := d.SendNotify(req, 0)
+	if !wire || out.Kind != MNotify || out.Dir != 2 || out.Ep != 3 {
+		t.Fatalf("bad notify: %+v wire=%v", out, wire)
 	}
 	if len(d.Cnt) != 0 {
 		t.Fatal("store-counter entry must retire with the notification")
 	}
 	// Degenerate self-notification is absorbed.
 	d.NoteRelaxed(0, 4)
-	_, wire, _, selfNew := d.SendNotify(Msg{Src: 0, Ep: 4, Cnt: 1, Dst: 0}, 0)
-	if wire || !selfNew || get(d.Noti, 0, 4) != 1 {
+	_, wire = d.SendNotify(Msg{Src: 0, Ep: 4, Cnt: 1, Dst: 0}, 0)
+	if wire || get(d.Noti, 0, 4) != 1 {
 		t.Fatal("self-notify must bump the local table without a wire message")
 	}
 }
@@ -273,11 +272,12 @@ func TestWBFlushDiscipline(t *testing.T) {
 	p.Fill(64)
 	p.RecordDirty(128, 128, 2)
 	var lines []uint64
-	p.FlushLines(func(l *WBLine) {
+	p.FlushLines(nil, func(buf []Msg, l *WBLine) []Msg {
 		lines = append(lines, l.Line)
 		if l.Line == 64 && (l.Mask>>8&1 == 0 || l.Vals[8] != 5) {
 			t.Fatalf("max-merge lost a value: mask %#x, word %d", l.Mask, l.Vals[8])
 		}
+		return buf
 	})
 	if len(lines) != 2 || lines[0] != 64 || lines[1] != 128 {
 		t.Fatalf("flush must drain ascending lines: %v", lines)
@@ -288,8 +288,8 @@ func TestWBFlushDiscipline(t *testing.T) {
 	if !p.Owned(64) {
 		t.Fatal("write-back retains ownership")
 	}
-	p.NoteAck()
-	p.NoteAck()
+	p.Receive(&Msg{Kind: MWBAck})
+	p.Receive(&Msg{Kind: MWBAck})
 	if !p.Drained() {
 		t.Fatal("acks must drain")
 	}

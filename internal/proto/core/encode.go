@@ -85,6 +85,10 @@ func AppendPETableBinary(buf []byte, tab []PE) []byte {
 // AppendBinary appends the CORD processor state. CntLive is derived from Cnt
 // and omitted.
 func (p *CordProc) AppendBinary(buf []byte) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, uint64(p.FlushWait))
+	buf = appendBool(buf, p.AtomWait)
+	buf = appendI32(buf, int32(p.WBPending))
+	buf = p.WC.appendBinary(buf)
 	buf = binary.BigEndian.AppendUint64(buf, p.Ep)
 	buf = binary.BigEndian.AppendUint64(buf, p.SeqIssued)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Cnt)))
@@ -121,11 +125,17 @@ func (d *CordDir) AppendBinary(buf []byte) []byte {
 
 // AppendBinary appends the SO processor state.
 func (p *SOProc) AppendBinary(buf []byte) []byte {
-	return appendI32(buf, int32(p.PendingAcks))
+	buf = appendI32(buf, int32(p.PendingAcks))
+	buf = appendBool(buf, p.AtomWait)
+	return p.WC.appendBinary(buf)
 }
 
 // AppendBinary appends the MP processor state.
 func (p *MPProc) AppendBinary(buf []byte) []byte {
+	buf = appendBool(buf, p.AtomWait)
+	buf = appendBool(buf, p.BarIssued)
+	buf = appendI32(buf, int32(p.FlushPending))
+	buf = p.WC.appendBinary(buf)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Seq)))
 	for _, s := range p.Seq {
 		buf = binary.BigEndian.AppendUint64(buf, s)
@@ -148,6 +158,7 @@ func (o *MPOrderer) AppendBinary(buf []byte) []byte {
 // fetching lines as ascending sets, then the dirty lines ascending, each with
 // its (addr, val) words ascending.
 func (p *WBProc) AppendBinary(buf []byte) []byte {
+	buf = appendBool(buf, p.AtomWait)
 	buf = appendI32(buf, int32(p.MSHR))
 	buf = appendI32(buf, int32(p.Pending))
 	buf = p.appendLineSet(buf, wbOwned)
@@ -162,6 +173,12 @@ func (p *WBProc) AppendBinary(buf []byte) []byte {
 		})
 	}
 	return buf
+}
+
+// appendBinary appends the write-combining buffer.
+func (c *Combiner) appendBinary(buf []byte) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, c.Addr)
+	return appendBool(buf, c.Valid)
 }
 
 // appendLineSet appends the lines in ownership state st: a count, then the

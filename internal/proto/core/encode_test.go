@@ -137,11 +137,11 @@ func TestWBSetCanonical(t *testing.T) {
 	with.BeginFetch(64)
 	with.Fill(64)
 	with.RecordDirty(128, 128, 1)
-	with.FlushLines(func(*WBLine) {})
+	with.FlushLines(nil, func(buf []Msg, _ *WBLine) []Msg { return buf })
 	without := NewWBProc()
 	without.BeginFetch(64)
 	without.Fill(64)
-	without.NoteFlag()
+	without.Pending++
 	if !bytes.Equal(with.AppendBinary(nil), without.AppendBinary(nil)) {
 		t.Fatal("a stateless line leaks into the set encoding")
 	}

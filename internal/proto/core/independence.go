@@ -18,7 +18,7 @@ package core
 // transition in every reachable state — the unconditional tier of the
 // checker's ample sets:
 //
-//   - MAtomicResp writes only the issuer's register and atomWait flag, and
+//   - MAtomicResp writes only the issuer's register and AtomWait flag, and
 //     the issuer is blocked until it arrives, so nothing can race it.
 //   - MSOAck and MWBAck decrement the issuer's outstanding-ack counter
 //     (plus, for atomics, the blocked issuer's register). The counter is read
@@ -62,10 +62,3 @@ func WritesAddr(m Msg) (addr uint64, ok bool) {
 // value (read-modify-write atomics): such deliveries are dependent on every
 // write to the same address regardless of kind.
 func ReadsMemory(m Msg) bool { return m.Atomic }
-
-// WindowTouching reports whether delivering m mutates some processor's
-// epoch-window fields (Ep, Unacked) — the state the checker's window
-// invariant reads. Such deliveries are property-visible: eagerly firing one
-// could skip past an intermediate window-violating state, so they are never
-// reduced.
-func WindowTouching(m Msg) bool { return m.Kind == MAck }

@@ -4,10 +4,18 @@ import "fmt"
 
 // MPProc is the message-passing baseline's processor state: posted writes
 // carry a per-ordering-domain sequence number (domains are destination
-// hosts in the simulator, directories in the checker); nothing is tracked
-// beyond the next number per domain.
+// hosts in the simulator, directories in the checker); a barrier's flushing
+// reads are counted until answered.
 type MPProc struct {
 	Seq []uint64
+
+	AtomWait bool // a non-posted atomic's value is outstanding
+	// BarIssued and FlushPending drive the flushing-read barrier: the
+	// fan-out is issued once, then the barrier re-runs until every
+	// destination has answered.
+	BarIssued    bool
+	FlushPending int
+	WC           Combiner
 }
 
 // NewMPProc returns processor state for ndomains ordering domains.
@@ -15,25 +23,85 @@ func NewMPProc(ndomains int) MPProc { return MPProc{Seq: make([]uint64, ndomains
 
 // CopyTo deep-copies the state into dst, reusing dst's storage. A processor
 // that runs another protocol keeps a nil Seq.
-func (p *MPProc) CopyTo(dst *MPProc) { dst.Seq = copyTable(dst.Seq, p.Seq) }
-
-// NextSeq assigns the sequence number for the next posted write to domain d.
-func (p *MPProc) NextSeq(d int) uint64 {
-	s := p.Seq[d]
-	p.Seq[d]++
-	return s
+func (p *MPProc) CopyTo(dst *MPProc) {
+	seq := dst.Seq
+	*dst = *p
+	dst.Seq = copyTable(seq, p.Seq)
 }
 
-// FlushTargets appends one MMPFlush per domain this processor has posted
-// writes to (ascending domain order), each covering every write posted so
-// far. A barrier completes when all of them are answered.
-func (p *MPProc) FlushTargets(src int, buf []Msg) []Msg {
-	for d, n := range p.Seq {
-		if n > 0 {
-			buf = append(buf, Msg{Kind: MMPFlush, Src: src, Dir: d, Seq: n - 1})
+// Issue is the MP processor's issue rule: writes are posted into their
+// domain's FIFO stream, a release barrier is a flushing read to every
+// domain posted to, and the write-combining buffer merges relaxed writes to
+// one address until a release write or an atomic.
+func (p *MPProc) Issue(op *Op, buf []Msg) ([]Msg, Wait) {
+	switch {
+	case op.Kind == OpBarrier:
+		if !op.Release {
+			return buf, Wait{}
 		}
+		if !p.BarIssued {
+			// One MMPFlush per domain posted to (ascending), each covering
+			// every write posted there so far.
+			n := len(buf)
+			for d, seq := range p.Seq {
+				if seq > 0 {
+					buf = append(buf, Msg{Kind: MMPFlush, Src: op.Src, Dir: d, Seq: seq - 1})
+				}
+			}
+			p.BarIssued, p.FlushPending = true, len(buf)-n
+			return buf, Wait{Verdict: Retry, On: WaitFlushes}
+		}
+		if p.FlushPending > 0 {
+			return buf, Wait{Verdict: Refuse, On: WaitFlushes}
+		}
+		p.BarIssued = false
+		return buf, Wait{}
+	case op.Kind == OpAtomic:
+		// Non-posted: ordered in the same per-domain stream.
+		p.WC.Clear()
+		p.AtomWait = true
+		return append(buf, p.post(op)), Wait{Verdict: Await, On: WaitAtomic}
+	case op.Release:
+		p.WC.Clear()
+	case p.WC.Hit(op.Addr):
+		return buf, Wait{}
+	default:
+		p.WC.Set(op.Addr)
 	}
-	return buf
+	return append(buf, p.post(op)), Wait{}
+}
+
+// post numbers a write in its domain's stream.
+func (p *MPProc) post(op *Op) Msg {
+	p.Seq[op.Domain]++
+	return Msg{Kind: MMPStore, Src: op.Src, Dir: op.Dir, Seq: p.Seq[op.Domain] - 1,
+		Addr: op.Addr, Val: op.Val, Size: op.Size, Atomic: op.Kind == OpAtomic, Tag: op.Tag}
+}
+
+// Blocked reports whether the wait w still holds.
+func (p *MPProc) Blocked(w Wait) bool {
+	switch w.On {
+	case WaitAtomic:
+		return p.AtomWait
+	case WaitFlushes:
+		return p.FlushPending > 0
+	}
+	return false
+}
+
+// Receive applies a flushing read's answer or an atomic's value.
+func (p *MPProc) Receive(m *Msg) {
+	switch m.Kind {
+	case MMPFlushOK:
+		if p.FlushPending == 0 {
+			panic("core: spurious MP flush response")
+		}
+		p.FlushPending--
+	case MAtomicResp:
+		p.AtomWait = false
+	default:
+		panic(fmt.Sprintf("core: MP processor got message kind %d", m.Kind))
+	}
 }
 
 // MPOrderer is one ordering domain's FIFO ordering point: per-source

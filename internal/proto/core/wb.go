@@ -82,8 +82,9 @@ type WBProc struct {
 	// spare are recycled records.
 	spare []*WBLine
 
-	MSHR    int // outstanding ownership fetches
-	Pending int // outstanding write-back / flag acks
+	MSHR     int  // outstanding ownership fetches
+	Pending  int  // outstanding write-back / flag acks
+	AtomWait bool // a far atomic's value is outstanding
 }
 
 // NewWBProc returns empty write-back processor state.
@@ -94,7 +95,7 @@ func NewWBProc() WBProc { return WBProc{} }
 // flush).
 func (p *WBProc) CopyTo(dst *WBProc) {
 	p.lines.CopyTo(&dst.lines)
-	dst.MSHR, dst.Pending = p.MSHR, p.Pending
+	dst.MSHR, dst.Pending, dst.AtomWait = p.MSHR, p.Pending, p.AtomWait
 	dst.spare = append(dst.spare, dst.recs...)
 	clear(dst.recs)
 	dst.recs = dst.recs[:0]
@@ -217,10 +218,11 @@ func (p *WBProc) Fill(line uint64) {
 func (p *WBProc) CanFlush() bool { return p.MSHR == 0 }
 
 // FlushLines drains the dirty lines in ascending line order, handing each
-// record to emit; each write-back expects an acknowledgment. Ownership is
-// retained (the flush is a data write-back, not an eviction). The records
-// now belong to the caller, who may Recycle them.
-func (p *WBProc) FlushLines(emit func(*WBLine)) {
+// record to writeBack along with buf, which it may append messages to; each
+// write-back expects an acknowledgment. Ownership is retained (the flush is a
+// data write-back, not an eviction). The records now belong to the caller,
+// who may Recycle them.
+func (p *WBProc) FlushLines(buf []Msg, writeBack func([]Msg, *WBLine) []Msg) []Msg {
 	r := p.head
 	p.head, p.last = nil, nil
 	clear(p.recs)
@@ -230,9 +232,10 @@ func (p *WBProc) FlushLines(emit func(*WBLine)) {
 		r.next = nil
 		*p.lines.Ref(r.Line) &= wbStateMask
 		p.Pending++
-		emit(r)
+		buf = writeBack(buf, r)
 		r = next
 	}
+	return buf
 }
 
 // EachDirtyWord calls fn for every dirty word, by ascending address.
@@ -247,7 +250,7 @@ func (p *WBProc) EachDirtyWord(fn func(addr, val uint64)) {
 // permutations). A word keeps its mapped value even where max-merging would
 // drop it.
 func (p *WBProc) Relabel(addr, val func(uint64) uint64) WBProc {
-	q := WBProc{MSHR: p.MSHR, Pending: p.Pending}
+	q := WBProc{MSHR: p.MSHR, Pending: p.Pending, AtomWait: p.AtomWait}
 	p.lines.Each(func(l, w uint64) {
 		if st := w & wbStateMask; st != 0 {
 			*q.lines.Ref(addr(l)) |= st
@@ -268,16 +271,83 @@ func (p *WBProc) Relabel(addr, val func(uint64) uint64) WBProc {
 	return q
 }
 
-// NoteFlag records an issued flag/release store awaiting acknowledgment.
-func (p *WBProc) NoteFlag() { p.Pending++ }
-
-// NoteAck retires one write-back or flag acknowledgment.
-func (p *WBProc) NoteAck() {
-	if p.Pending == 0 {
-		panic("core: WB ack with nothing outstanding")
-	}
-	p.Pending--
-}
-
 // Drained reports whether all write-backs and flag stores are acknowledged.
 func (p *WBProc) Drained() bool { return p.Pending == 0 }
+
+// Issue is the WB processor's issue rule. A release (store, atomic or
+// barrier) first drains the MSHRs, writes every dirty line back through
+// writeBack (see FlushLines) and waits for the acknowledgments; release
+// stores and far atomics are then written through to the home directory as
+// flags. A relaxed store allocates ownership of op.Line and merges into its
+// dirty data.
+func (p *WBProc) Issue(mshrs int, op *Op, buf []Msg, writeBack func([]Msg, *WBLine) []Msg) ([]Msg, Wait) {
+	if op.Release {
+		if !p.CanFlush() {
+			return buf, Wait{Verdict: Refuse, On: WaitFill}
+		}
+		if p.Dirty() {
+			return p.FlushLines(buf, writeBack), Wait{Verdict: Retry, On: WaitAcks}
+		}
+		if !p.Drained() {
+			return buf, Wait{Verdict: Refuse, On: WaitAcks}
+		}
+	}
+	switch {
+	case op.Kind == OpBarrier:
+		return buf, Wait{}
+	case op.Kind == OpAtomic || op.Release:
+		p.Pending++
+		m := Msg{Kind: MWBFlag, Src: op.Src, Dir: op.Dir, Addr: op.Addr, Val: op.Val,
+			Size: op.Size, Tag: op.Tag}
+		if op.Kind == OpAtomic {
+			m.Atomic = true
+			p.AtomWait = true
+			return append(buf, m), Wait{Verdict: Await, On: WaitAtomic}
+		}
+		return append(buf, m), Wait{}
+	}
+	switch p.StoreAdmit(mshrs, op.Line) {
+	case WBMSHRFull:
+		return buf, Wait{Verdict: Refuse, On: WaitMSHR}
+	case WBMiss:
+		p.BeginFetch(op.Line)
+		buf = append(buf, Msg{Kind: MWBGetM, Src: op.Src, Dir: op.Dir, Addr: op.Line})
+	}
+	p.RecordDirty(op.Line, op.Addr, op.Val)
+	return buf, Wait{}
+}
+
+// Blocked reports whether the wait w still holds; mshrs is the miss-register
+// bound Issue was given.
+func (p *WBProc) Blocked(mshrs int, w Wait) bool {
+	switch w.On {
+	case WaitAtomic:
+		return p.AtomWait
+	case WaitAcks:
+		return !p.Drained()
+	case WaitFill:
+		return !p.CanFlush()
+	case WaitMSHR:
+		return p.MSHR >= mshrs
+	}
+	return false
+}
+
+// Receive applies an ownership fill or a write-back/flag acknowledgment (an
+// atomic's carries its value).
+func (p *WBProc) Receive(m *Msg) {
+	switch m.Kind {
+	case MWBFill:
+		p.Fill(m.Addr)
+	case MWBAck:
+		if p.Pending == 0 {
+			panic("core: WB ack with nothing outstanding")
+		}
+		p.Pending--
+		if m.Atomic {
+			p.AtomWait = false
+		}
+	default:
+		panic(fmt.Sprintf("core: WB processor got message kind %d", m.Kind))
+	}
+}

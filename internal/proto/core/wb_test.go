@@ -21,18 +21,17 @@ func wbEncodingState() WBProc {
 	p.RecordDirty(64, 64, 1)
 	p.RecordDirty(0, 0, 3)
 	p.RecordDirty(256, 256, 0)
-	p.NoteFlag()
-	p.NoteFlag()
+	p.Pending = 2
 	return p
 }
 
-// TestWBEncodingBytes pins WBProc.AppendBinary to fixed bytes: MSHR and
-// Pending, the sorted owned set, the sorted fetching set, then the dirty
+// TestWBEncodingBytes pins WBProc.AppendBinary to fixed bytes: AtomWait,
+// MSHR and Pending, the sorted owned set, the sorted fetching set, then the dirty
 // lines in ascending order with their (addr, val) pairs ascending. The
 // checker's fingerprints and state counts depend on exactly these bytes.
 func TestWBEncodingBytes(t *testing.T) {
 	p := wbEncodingState()
-	const want = "00000001" + "00000002" +
+	const want = "00" + "00000001" + "00000002" +
 		"00000002" + "0000000000000000" + "0000000000000040" +
 		"00000001" + "0000000000000100" +
 		"00000003" +
@@ -49,11 +48,12 @@ func TestWBEncodingBytes(t *testing.T) {
 // pairs, line by line, recycling the records.
 func flushed(p *WBProc) [][][2]uint64 {
 	var out [][][2]uint64
-	p.FlushLines(func(l *WBLine) {
+	p.FlushLines(nil, func(buf []Msg, l *WBLine) []Msg {
 		var words [][2]uint64
 		l.Each(func(a, v uint64) { words = append(words, [2]uint64{a, v}) })
 		out = append(out, words)
 		p.Recycle(l)
+		return buf
 	})
 	return out
 }

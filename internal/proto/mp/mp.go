@@ -124,121 +124,72 @@ func (d *dir) commit(m *core.Msg) {
 	}
 }
 
-// cpu is the MP processor: posts writes, never waits.
+// cpu is the MP processor adapter: what an op posts and waits on is
+// core.MPProc's Issue rule, shared with the litmus model checker; this type
+// owns timing, NoC injection, stats, and obs events.
 type cpu struct {
 	proto.ProcBase
 	// st assigns per-destination-host sequence numbers (the ordering
-	// domains of core.MPProc are hosts here).
+	// domains of core.MPProc are hosts here) and counts a barrier's
+	// unanswered flushing reads.
 	st      core.MPProc
 	nextTag uint64
-	// atomicTag is the non-posted atomic whose response the core waits on;
-	// 0 when none (tags start at 1).
-	atomicTag uint64
-	// flushes counts a barrier's unanswered flushing reads, plus one held
-	// while the barrier sends them.
-	flushes int
-	// buf is the reusable flush fan-out scratch.
-	buf []core.Msg
-	// wcAddr is a one-entry write-combining buffer (posted writes to the
-	// same address merge, as PCIe write-combining does).
-	wcAddr  memsys.Addr
-	wcValid bool
-
-	// Stall conditions, bound once so that blocking allocates nothing.
-	atomicBusy, flushing func() bool
+	// out is the reusable Issue output.
+	out []core.Msg
+	// sending holds a stall open while its op's messages go out.
+	sending bool
 }
 
-func (c *cpu) handle(_ noc.NodeID, payload any) {
-	m := payload.(*core.Msg)
-	switch m.Kind {
-	case core.MLoadResp:
-		c.HandleLoadResp(m)
-	case core.MMPFlushOK:
-		if c.flushes == 0 {
-			panic("mp: unknown flush tag")
-		}
-		if rec := c.Obs; rec.Take() {
-			rec.Record(obs.Event{At: c.Now(), Kind: obs.KRelAck,
-				Src: c.ID.Obs(), Seq: m.Tag})
-		}
-		c.flushes--
-		c.Recheck()
-	case core.MAtomicResp:
-		if m.Tag != c.atomicTag {
-			panic("mp: unknown atomic tag")
-		}
-		c.atomicTag = 0
-		c.Recheck()
-	default:
-		panic(fmt.Sprintf("mp: cpu %v got unexpected message kind %d", c.ID, m.Kind))
+// onReply applies a flushing read's answer or an atomic's value.
+func (c *cpu) onReply(m *core.Msg) {
+	if rec := c.Obs; m.Kind == core.MMPFlushOK && rec.Take() {
+		rec.Record(obs.Event{At: c.Now(), Kind: obs.KRelAck,
+			Src: c.ID.Obs(), Seq: m.Tag})
 	}
-	c.Sys.FreeMsg(m)
+	c.st.Receive(m)
+	c.Recheck()
 }
 
+// exec runs op through the core Issue rule. An atomic or a barrier's flush
+// fan-out opens its stall before the first send, so a barrier with no flush
+// targets still records a (zero-length) stall.
 func (c *cpu) exec(op proto.Op) {
-	switch op.Kind {
-	case proto.OpStoreWT, proto.OpStoreWB:
-		if op.Ord == proto.Relaxed {
-			if c.wcValid && c.wcAddr == op.Addr {
-				c.Retire()
-				return
-			}
-			c.wcAddr, c.wcValid = op.Addr, true
-		} else {
-			c.wcValid = false
-		}
-		class := stats.ClassRelaxedData
-		if op.Ord == proto.Release {
+	cop := c.CoreOp(op)
+	out, w := c.st.Issue(&cop, c.out[:0])
+	c.out = out
+	if w.Verdict != core.Await && w.Verdict != core.Retry {
+		c.post(op, out)
+		c.Finish(w)
+		return
+	}
+	c.sending = true
+	c.Finish(w)
+	c.post(op, out)
+	c.sending = false
+	c.Recheck()
+}
+
+// post sends posted writes into their destination host's FIFO ordering
+// domain, a non-posted atomic likewise, and flushing reads to each host's
+// port slice. Atomics and flushing reads are tagged.
+func (c *cpu) post(op proto.Op, out []core.Msg) {
+	for i := range out {
+		m := &out[i]
+		class, dst, bytes := stats.ClassRelaxedData, c.Sys.DirAt(m.Dir), proto.HeaderBytes+m.Size
+		switch {
+		case m.Kind == core.MMPFlush:
+			class, dst, bytes = stats.ClassBarrier, noc.DirID(m.Dir, 0), proto.LoadReqBytes
+		case m.Atomic:
+			class = stats.ClassAtomic
+		case op.Ord == proto.Release:
 			class = stats.ClassReleaseData
 		}
-		c.post(op, class, false, 0)
-		c.Retire()
-	case proto.OpAtomic:
-		// Non-posted atomic: ordered in the per-host stream, blocks on the
-		// value response.
-		c.wcValid = false
-		c.nextTag++
-		c.atomicTag = c.nextTag
-		c.Await(c.atomicBusy, stats.StallAcquire)
-		c.post(op, stats.ClassAtomic, true, c.nextTag)
-	case proto.OpBarrier:
-		switch op.Ord {
-		case proto.Release, proto.SeqCst:
-			c.flushAll()
-		default:
-			c.Retire()
+		if m.Kind == core.MMPFlush || m.Atomic {
+			c.nextTag++
+			m.Tag = c.nextTag
 		}
-	default:
-		panic(fmt.Sprintf("mp: unexpected op %v", op))
+		c.Sys.Net.Send(c.ID, dst, class, bytes, c.Sys.NewMsg(*m))
 	}
-}
-
-// post sends a posted write (or a non-posted atomic) into its destination
-// host's FIFO ordering domain.
-func (c *cpu) post(op proto.Op, class stats.MsgClass, atomic bool, tag uint64) {
-	home := c.Sys.Map.HomeOf(op.Addr)
-	c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+int(op.Size), c.Sys.NewMsg(core.Msg{
-		Kind: core.MMPStore, Src: c.Ix, Dir: c.Sys.Index(home), Seq: c.st.NextSeq(home.Host),
-		Addr: uint64(op.Addr), Val: op.Value, Size: int(op.Size), Atomic: atomic, Tag: tag,
-	}))
-}
-
-// flushAll issues a flushing read to every host this core posted writes to
-// (core.MPProc's flush fan-out, ascending host order) and stalls until all
-// respond. The stall opens before the first send, so a barrier with no
-// flush targets still records a (zero-length) stall.
-func (c *cpu) flushAll() {
-	c.flushes = 1
-	c.Await(c.flushing, stats.StallRelease)
-	c.buf = c.st.FlushTargets(c.Ix, c.buf[:0])
-	for _, f := range c.buf {
-		c.flushes++
-		c.nextTag++
-		f.Tag = c.nextTag
-		c.Sys.Net.Send(c.ID, noc.DirID(f.Dir, 0), stats.ClassBarrier, proto.LoadReqBytes, c.Sys.NewMsg(f))
-	}
-	c.flushes--
-	c.Recheck()
 }
 
 // Build implements proto.Builder.
@@ -264,9 +215,9 @@ func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 		c := &cpu{st: core.NewMPProc(cfg.Hosts)}
 		c.InitBase(sys, id, &sys.Run.Procs[i])
 		c.Exec = c.exec
-		c.atomicBusy = func() bool { return c.atomicTag != 0 }
-		c.flushing = func() bool { return c.flushes > 0 }
-		sys.Net.Register(id, c.handle)
+		c.Waiting = func() bool { return c.sending || c.st.Blocked(c.Wait) }
+		c.OnReply = c.onReply
+		sys.Net.Register(id, c.Handle)
 		cpus[i] = c
 	}
 	return cpus

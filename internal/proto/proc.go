@@ -39,6 +39,13 @@ type ProcBase struct {
 
 	// Exec starts a store, atomic or barrier op; the protocol sets it.
 	Exec func(op Op)
+	// Wait is the core wait Finish blocked on, and Waiting reports whether
+	// it still holds against the protocol's processor state. OnReply applies
+	// a reply (any message but an acquire poll's answer) and calls Recheck.
+	// The protocol sets Waiting and OnReply.
+	Wait    core.Wait
+	Waiting func() bool
+	OnReply func(m *core.Msg)
 
 	src  OpSource
 	seq  uint64
@@ -180,6 +187,52 @@ func (p *ProcBase) Retry(cond func() bool, kind stats.StallKind) { p.stall(cond,
 // retires the op (at once, uncharged, if cond is false).
 func (p *ProcBase) Await(cond func() bool, kind stats.StallKind) { p.stall(cond, kind, false, true) }
 
+// CoreOp translates a store, atomic or barrier for the protocol's core Issue
+// rule: stores and atomics with their home directory, MP ordering domain
+// (the home host) and line; SeqCst atomics and barriers order like releases.
+func (p *ProcBase) CoreOp(op Op) (c core.Op) {
+	c.Src, c.Addr, c.Val, c.Size = p.Ix, uint64(op.Addr), op.Value, int(op.Size)
+	switch op.Kind {
+	case OpStoreWT, OpStoreWB:
+		c.Kind, c.Release = core.OpStore, op.Ord == Release
+	case OpAtomic:
+		c.Kind, c.Release = core.OpAtomic, op.Ord == Release || op.Ord == SeqCst
+	default:
+		c.Kind, c.Release = core.OpBarrier, op.Ord == Release || op.Ord == SeqCst
+		return c
+	}
+	home := p.Sys.Map.HomeOf(op.Addr)
+	c.Dir, c.Domain, c.Line = p.Sys.Index(home), home.Host, uint64(op.Addr.Line())
+	return c
+}
+
+// waitStall charges each core wait to its stall category.
+var waitStall = [...]stats.StallKind{
+	core.WaitAtomic:   stats.StallAcquire,
+	core.WaitAcks:     stats.StallAckWait,
+	core.WaitFill:     stats.StallAckWait,
+	core.WaitMSHR:     stats.StallStoreBuf,
+	core.WaitFlushes:  stats.StallRelease,
+	core.WaitEpochs:   stats.StallRelease,
+	core.WaitDrain:    stats.StallAckWait,
+	core.WaitWindow:   stats.StallOverflow,
+	core.WaitTables:   stats.StallTableFull,
+	core.WaitOverflow: stats.StallOverflow,
+	core.WaitCntTable: stats.StallTableFull,
+}
+
+// Finish ends Exec with a core Issue rule's verdict: Done retires the op,
+// Await retires it once the wait clears, and Retry or Refuse run Exec again
+// then. Waiting evaluates the wait.
+func (p *ProcBase) Finish(w core.Wait) {
+	if w.Verdict == core.Done {
+		p.Retire()
+		return
+	}
+	p.Wait = w
+	p.stall(p.Waiting, waitStall[w.On], w.Verdict != core.Await, true)
+}
+
 // stall fills the core's one blocked-op slot, unless cond is already false.
 // A traced stall is bracketed by KStallBegin/KStallEnd events under one
 // sampling decision.
@@ -243,9 +296,20 @@ func (p *ProcBase) beginAcquire(op Op) {
 			Addr: uint64(op.Addr), Val: op.Value, Tag: p.acqTag}))
 }
 
-// HandleLoadResp ends the acquire waiting on the response. Protocol
-// handlers route MLoadResp messages here.
-func (p *ProcBase) HandleLoadResp(m *core.Msg) {
+// Handle is the core's NoC handler: an acquire poll's answer ends the
+// poll, any other message goes to OnReply. It frees the message.
+func (p *ProcBase) Handle(_ noc.NodeID, payload any) {
+	m := payload.(*core.Msg)
+	if m.Kind == core.MLoadResp {
+		p.handleLoadResp(m)
+	} else {
+		p.OnReply(m)
+	}
+	p.Sys.FreeMsg(m)
+}
+
+// handleLoadResp ends the acquire waiting on the response.
+func (p *ProcBase) handleLoadResp(m *core.Msg) {
 	if !p.acquiring || m.Tag != p.acqTag {
 		panic(fmt.Sprintf("proto: %v got MLoadResp with unknown tag %d", p.ID, m.Tag))
 	}

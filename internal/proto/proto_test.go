@@ -58,9 +58,7 @@ func (nullProto) Build(sys *System, cores []noc.NodeID) []CPU {
 				c.Retire()
 			}
 		}
-		sys.Net.Register(id, func(_ noc.NodeID, payload any) {
-			c.HandleLoadResp(payload.(*core.Msg))
-		})
+		sys.Net.Register(id, c.Handle)
 		cpus[i] = c
 	}
 	return cpus

@@ -55,60 +55,39 @@ func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 		c := &cpu{cfg: p.Cfg}
 		c.InitBase(sys, id, &sys.Run.Procs[i])
 		c.Exec = c.exec
-		c.undrained = func() bool { return !c.st.CanIssueOrdered() }
-		c.atomicBusy = func() bool { return c.atomicTag != 0 }
+		c.Waiting = func() bool { return c.st.Blocked(c.Wait) }
+		c.OnReply = c.onAck
 		c.bufFull = func() bool { return len(c.buf) >= c.cfg.StoreBufCap }
 		c.tsoBusy = func() bool { return len(c.buf) > 0 || !c.st.Drained() }
-		sys.Net.Register(id, c.handle)
+		sys.Net.Register(id, c.Handle)
 		cpus[i] = c
 	}
 	return cpus
 }
 
-// cpu is the source-ordering processor adapter: the ordering decisions
-// (when a release, barrier, or ordered atomic may issue) are core.SOProc
-// rules shared with the litmus model checker; this type owns timing, NoC
-// injection, stats, and obs events plus the TSO store-buffer
-// micro-architecture. Stores travel as core.MSOStore, acks as core.MSOAck
-// (an atomic's ack doubles as its value response).
+// cpu is the source-ordering processor adapter: what an op issues and waits
+// on is core.SOProc's Issue rule, shared with the litmus model checker; this
+// type owns timing, NoC injection, stats, and obs events plus the TSO
+// store-buffer micro-architecture. Stores travel as core.MSOStore, acks as
+// core.MSOAck (an atomic's ack doubles as its value response).
 type cpu struct {
 	proto.ProcBase
 	cfg Config
 
 	st      core.SOProc // outstanding write-through stores (RC mode)
 	nextTag uint64      // store tags for ack matching
-	// atomicTag is the far atomic whose response the core waits on; 0 when
-	// none (tags start at 1).
-	atomicTag uint64
 	// relTag and relAt are the in-flight non-atomic Release store (0 when
 	// none: a Release waits for every prior ack, so at most one is in
 	// flight) and its send time, for the release-latency distribution.
 	relTag uint64
 	relAt  sim.Time
-	// wcAddr implements a one-entry write-combining buffer: consecutive
-	// Relaxed stores to the same address merge into one wire transaction.
-	wcAddr  memsys.Addr
-	wcValid bool
 
 	// TSO store buffer: stores queued for serial, in-order drain.
 	buf      []proto.Op
 	draining bool
 
 	// Stall conditions, bound once so that blocking allocates nothing.
-	undrained, atomicBusy, bufFull, tsoBusy func() bool
-}
-
-func (c *cpu) handle(_ noc.NodeID, payload any) {
-	m := payload.(*core.Msg)
-	switch m.Kind {
-	case core.MLoadResp:
-		c.HandleLoadResp(m)
-	case core.MSOAck:
-		c.onAck(m)
-	default:
-		panic(fmt.Sprintf("so: cpu %v got unexpected message kind %d", c.ID, m.Kind))
-	}
-	c.Sys.FreeMsg(m)
+	bufFull, tsoBusy func() bool
 }
 
 func (c *cpu) exec(op proto.Op) {
@@ -116,85 +95,39 @@ func (c *cpu) exec(op proto.Op) {
 		c.execTSO(op)
 		return
 	}
-	switch op.Kind {
-	case proto.OpStoreWT, proto.OpStoreWB:
-		// Under SO, write-back stores in a write-through workload are issued
-		// through the same ordered path.
-		if op.Ord == proto.Release {
-			c.wcValid = false
-			if c.drained() {
-				c.send(op, true, false)
-				c.Retire()
-			}
-			return
-		}
-		if c.wcValid && c.wcAddr == op.Addr {
-			// Write-combined: the in-flight transaction absorbs the store.
-			c.Retire()
-			return
-		}
-		c.wcAddr, c.wcValid = op.Addr, true
-		c.send(op, false, false)
-		c.Retire()
-	case proto.OpAtomic:
-		// Far atomics are source-ordered like stores; the core additionally
-		// blocks on the value response (a true data dependency).
-		if (op.Ord == proto.Release || op.Ord == proto.SeqCst) && !c.drained() {
-			return
-		}
-		c.issueAtomic(op)
-	case proto.OpBarrier:
-		switch op.Ord {
-		case proto.Release, proto.SeqCst:
-			// A release barrier completes when all prior write-through
-			// stores are acknowledged.
-			c.Await(c.undrained, stats.StallAckWait)
-		default: // Acquire barriers need no store-side handling (§4.4).
-			c.Retire()
-		}
-	default:
-		panic(fmt.Sprintf("so: unexpected op %v", op))
-	}
+	c.issue(op)
 }
 
-// drained reports whether every store is acknowledged (core.SOProc's
-// ordering rule); if not, the op is retried once it is.
-func (c *cpu) drained() bool {
-	if c.st.CanIssueOrdered() {
-		return true
+// issue runs op through the core Issue rule (write-back stores in a
+// write-through workload take the same path) and sends what it emits before
+// the op retires or stalls.
+func (c *cpu) issue(op proto.Op) {
+	var buf [1]core.Msg // Issue emits at most one message
+	cop := c.CoreOp(op)
+	out, w := c.st.Issue(&cop, buf[:0])
+	for i := range out {
+		c.send(&out[i])
 	}
-	c.Retry(c.undrained, stats.StallAckWait)
-	return false
-}
-
-// issueAtomic sends a far atomic and blocks the core on its response.
-func (c *cpu) issueAtomic(op proto.Op) {
-	c.send(op, op.Ord == proto.Release, true)
-	c.atomicTag = c.nextTag
-	c.Await(c.atomicBusy, stats.StallAcquire)
+	c.Finish(w)
 }
 
 // send puts a store (or far atomic) on the wire under a fresh ack tag.
-func (c *cpu) send(op proto.Op, release, atomic bool) {
+func (c *cpu) send(m *core.Msg) {
 	c.nextTag++
-	c.st.NoteStore()
+	m.Tag = c.nextTag
 	class := stats.ClassRelaxedData
 	switch {
-	case atomic:
+	case m.Atomic:
 		class = stats.ClassAtomic
-	case release:
+	case m.Release:
 		class = stats.ClassReleaseData
 		c.relTag, c.relAt = c.nextTag, c.Now()
 	}
-	home := c.Sys.Map.HomeOf(op.Addr)
-	c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+int(op.Size), c.Sys.NewMsg(core.Msg{
-		Kind: core.MSOStore, Src: c.Ix, Dir: c.Sys.Index(home), Addr: uint64(op.Addr),
-		Val: op.Value, Size: int(op.Size), Release: release, Atomic: atomic, Tag: c.nextTag,
-	}))
+	c.Sys.Net.Send(c.ID, c.Sys.DirAt(m.Dir), class, proto.HeaderBytes+m.Size, c.Sys.NewMsg(*m))
 }
 
 func (c *cpu) onAck(m *core.Msg) {
-	c.st.NoteAck()
+	c.st.Receive(m)
 	if m.Tag == c.relTag {
 		lat := c.Now() - c.relAt
 		c.PS.ReleaseLatency.Add(lat)
@@ -203,9 +136,6 @@ func (c *cpu) onAck(m *core.Msg) {
 			rec.Record(obs.Event{At: c.Now(), Kind: obs.KRelAck,
 				Src: c.ID.Obs(), Seq: m.Tag, Dur: lat})
 		}
-	}
-	if m.Tag == c.atomicTag {
-		c.atomicTag = 0
 	}
 	c.Recheck()
 	if c.Sys.Mode == proto.TSO {
@@ -223,7 +153,7 @@ func (c *cpu) execTSO(op proto.Op) {
 			c.Retry(c.tsoBusy, stats.StallAckWait)
 			return
 		}
-		c.issueAtomic(op)
+		c.issue(op)
 	case proto.OpStoreWT, proto.OpStoreWB:
 		if len(c.buf) >= c.cfg.StoreBufCap {
 			c.Retry(c.bufFull, stats.StallStoreBuf)
@@ -257,7 +187,9 @@ func (c *cpu) drainNext() {
 	c.draining = true
 	op := c.buf[0]
 	c.buf = c.buf[1:]
-	c.send(op, op.Ord == proto.Release, false)
+	var buf [1]core.Msg
+	cop := c.CoreOp(op)
+	c.send(&c.st.Store(&cop, buf[:0])[0])
 	c.Recheck() // buffer space freed
 }
 
@@ -295,6 +227,6 @@ func (d *dir) commitStore(m *core.Msg) {
 				Src: d.ID.Obs(), Dst: src.Obs(), Seq: m.Tag, Addr: m.Addr})
 		}
 	}
-	*m = core.SOAck(*m, old)
+	core.SOAck(m, old)
 	d.Sys.Net.Send(d.ID, src, class, size, m)
 }

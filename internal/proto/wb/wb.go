@@ -57,6 +57,10 @@ func New() *Protocol { return &Protocol{Cfg: DefaultConfig()} }
 // Name implements proto.Builder.
 func (p *Protocol) Name() string { return "WB" }
 
+// cpu is the WB processor adapter: what an op issues and waits on is
+// core.WBProc's Issue rule, shared with the litmus model checker; this type
+// owns timing, NoC injection, stats, and obs events plus the store-hit
+// pipeline width and TSO's wait for ownership.
 type cpu struct {
 	proto.ProcBase
 	cfg Config
@@ -65,151 +69,102 @@ type cpu struct {
 	// ack accounting — and decides store admission and flush eligibility.
 	st      core.WBProc
 	nextTag uint64
-	// atomicTag is the far atomic whose response the core waits on; 0 when
-	// none (tags start at 1).
-	atomicTag uint64
 	// fetchLine is the line a TSO store miss waits to own.
 	fetchLine uint64
 	// hitToggle lets store hits retire at two per cycle: write-back hits
 	// drain into the L1 at full pipeline width, unlike write-through stores
 	// which each occupy a write-combining/egress slot.
 	hitToggle bool
+	// out is the reusable Issue output.
+	out []core.Msg
 	// step is Step, bound once so a store hit allocates nothing;
 	// writeBack is sendWriteBack, bound once so a flush allocates nothing.
 	step      func()
-	writeBack func(*core.WBLine)
+	writeBack func([]core.Msg, *core.WBLine) []core.Msg
 
-	// Stall conditions, bound once so that blocking allocates nothing.
-	atomicBusy, mshrFull, fetching, cannotFlush, undrained func() bool
+	// fetching is TSO's stall condition, bound once so that blocking
+	// allocates nothing.
+	fetching func() bool
 }
 
-func (c *cpu) handle(_ noc.NodeID, payload any) {
-	m := payload.(*core.Msg)
-	switch m.Kind {
-	case core.MLoadResp:
-		c.HandleLoadResp(m)
-	case core.MWBFill:
-		c.st.Fill(m.Addr)
-		c.Recheck()
-	case core.MWBAck:
-		c.st.NoteAck()
-		if m.Tag == c.atomicTag {
-			c.atomicTag = 0
-		}
-		c.Recheck()
-	default:
-		panic(fmt.Sprintf("wb: cpu %v got unexpected message kind %d", c.ID, m.Kind))
-	}
-	c.Sys.FreeMsg(m)
+// onReply applies an ownership fill or a write-back/flag acknowledgment.
+func (c *cpu) onReply(m *core.Msg) {
+	c.st.Receive(m)
+	c.Recheck()
 }
 
-// sendFlag writes a flag store or far atomic through to its home directory.
-func (c *cpu) sendFlag(op proto.Op, class stats.MsgClass, atomic bool, tag uint64) {
-	home := c.Sys.Map.HomeOf(op.Addr)
-	c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+int(op.Size),
-		c.Sys.NewMsg(core.Msg{Kind: core.MWBFlag, Src: c.Ix, Dir: c.Sys.Index(home),
-			Addr: uint64(op.Addr), Val: op.Value, Size: int(op.Size), Atomic: atomic, Tag: tag}))
-}
-
+// exec runs op through the core Issue rule. Under the WB scheme every store
+// uses the write-back policy, and TSO orders every atomic like a release.
 func (c *cpu) exec(op proto.Op) {
-	switch op.Kind {
-	case proto.OpAtomic:
-		// Atomics execute at the home directory (uncached far atomics);
-		// Release atomics flush dirty lines first, like Release stores.
-		if (op.Ord == proto.Release || op.Ord == proto.SeqCst || c.Sys.Mode == proto.TSO) && !c.flushed() {
-			return
-		}
-		c.nextTag++
-		c.st.NoteFlag()
-		c.atomicTag = c.nextTag
-		c.Await(c.atomicBusy, stats.StallAcquire)
-		c.sendFlag(op, stats.ClassAtomic, true, c.atomicTag)
-	case proto.OpStoreWT, proto.OpStoreWB:
-		// Under the WB scheme all stores use the write-back policy.
-		if op.Ord == proto.Release {
-			// Flush all dirty lines, wait for their acknowledgments, then
-			// publish the flag (which the next Release's drain will wait on).
-			if c.flushed() {
-				c.nextTag++
-				c.st.NoteFlag()
-				c.sendFlag(op, stats.ClassReleaseData, false, c.nextTag)
-				c.Retire()
-			}
-		} else {
-			c.execStore(op)
-		}
-	case proto.OpBarrier:
-		switch op.Ord {
-		case proto.Release, proto.SeqCst:
-			if c.flushed() {
-				c.Retire()
-			}
-		default:
-			c.Retire()
-		}
+	cop := c.CoreOp(op)
+	if op.Kind == proto.OpAtomic && c.Sys.Mode == proto.TSO {
+		cop.Release = true
+	}
+	out, w := c.st.Issue(c.cfg.MSHRs, &cop, c.out[:0], c.writeBack)
+	c.out = out
+	if w.Verdict == core.Await {
+		// A far atomic's stall opens before its request goes out.
+		c.Finish(w)
+	}
+	for i := range out {
+		c.send(&out[i])
+	}
+	switch {
+	case w.Verdict == core.Await:
+	case cop.Kind == core.OpStore && !cop.Release && w.Verdict == core.Done:
+		c.stored(len(out) == 0, cop.Line)
 	default:
-		panic(fmt.Sprintf("wb: unexpected op %v", op))
+		c.Finish(w)
 	}
 }
 
-func (c *cpu) execStore(op proto.Op) {
-	line := op.Addr.Line()
-	switch c.st.StoreAdmit(c.cfg.MSHRs, uint64(line)) {
-	case core.WBHit:
-		// Write hit (or hit-under-miss): data reuse, no traffic. Hits
-		// retire at two per cycle (see hitToggle).
-		c.st.RecordDirty(uint64(line), uint64(op.Addr), op.Value)
+// stored retires a relaxed store. Hits (data reuse, no traffic) retire at
+// two per cycle (see hitToggle). TSO source-orders every store: after a
+// miss the next op issues only once ownership (and hence global order) is
+// established.
+func (c *cpu) stored(hit bool, line uint64) {
+	switch {
+	case hit:
 		c.hitToggle = !c.hitToggle
 		if c.hitToggle {
 			c.Eng.Schedule(0, c.step)
 		} else {
 			c.Retire()
 		}
-	case core.WBMSHRFull:
-		c.Retry(c.mshrFull, stats.StallStoreBuf)
-	case core.WBMiss:
-		c.st.BeginFetch(uint64(line))
-		c.st.RecordDirty(uint64(line), uint64(op.Addr), op.Value)
-		home := c.Sys.Map.HomeOf(line)
-		c.Sys.Net.Send(c.ID, home, stats.ClassOwnReq, proto.HeaderBytes,
-			c.Sys.NewMsg(core.Msg{Kind: core.MWBGetM, Src: c.Ix, Dir: c.Sys.Index(home), Addr: uint64(line)}))
-		if c.Sys.Mode == proto.TSO {
-			// TSO source-orders every store: the next op retires only after
-			// ownership (and hence global order) is established.
-			c.fetchLine = uint64(line)
-			c.Await(c.fetching, stats.StallStoreBuf)
-			return
-		}
+	case c.Sys.Mode == proto.TSO:
+		c.fetchLine = line
+		c.Await(c.fetching, stats.StallStoreBuf)
+	default:
 		c.Retire()
 	}
 }
 
-// flushed drains the MSHRs, writes every dirty line back and reports
-// whether all write-backs and flag stores are acknowledged; if not, the op
-// is retried once they are. The retry finds nothing dirty and no fetch
-// outstanding (a blocked core issues nothing), so it passes straight on.
-func (c *cpu) flushed() bool {
-	if !c.st.CanFlush() {
-		c.Retry(c.cannotFlush, stats.StallAckWait)
-		return false
+// send puts an ownership request, a flag store or a far atomic on the wire
+// to its home directory.
+func (c *cpu) send(m *core.Msg) {
+	if m.Kind == core.MWBGetM {
+		c.Sys.Net.Send(c.ID, c.Sys.DirAt(m.Dir), stats.ClassOwnReq, proto.HeaderBytes, c.Sys.NewMsg(*m))
+		return
 	}
-	c.st.FlushLines(c.writeBack)
-	if !c.st.Drained() {
-		c.Retry(c.undrained, stats.StallAckWait)
-		return false
+	c.nextTag++
+	m.Tag = c.nextTag
+	class := stats.ClassReleaseData
+	if m.Atomic {
+		class = stats.ClassAtomic
 	}
-	return true
+	c.Sys.Net.Send(c.ID, c.Sys.DirAt(m.Dir), class, proto.HeaderBytes+m.Size, c.Sys.NewMsg(*m))
 }
 
 // sendWriteBack writes one flushed dirty line back to its home directory.
 // The write-back is the line's record itself (core.WBLine, its words by
 // offset), the one WB message that is not a core.Msg; the directory returns
 // it to this core once committed.
-func (c *cpu) sendWriteBack(l *core.WBLine) {
+func (c *cpu) sendWriteBack(buf []core.Msg, l *core.WBLine) []core.Msg {
 	c.nextTag++
 	l.Tag = c.nextTag
 	c.Sys.Net.Send(c.ID, c.Sys.Map.HomeOf(memsys.Addr(l.Line)), stats.ClassWriteback,
 		proto.HeaderBytes+memsys.LineBytes, l)
+	return buf
 }
 
 // dir is the WB home directory: grants ownership, absorbs write-backs,
@@ -274,7 +229,7 @@ func (d *dir) commit(m *core.Msg) {
 					Src: d.ID.Obs(), Dst: src.Obs(), Seq: m.Tag, Addr: m.Addr})
 			}
 		}
-		*m = core.Msg{Kind: core.MWBAck, Src: m.Src, Dir: d.Ix, Tag: m.Tag}
+		*m = core.Msg{Kind: core.MWBAck, Src: m.Src, Dir: d.Ix, Tag: m.Tag, Atomic: m.Atomic}
 		d.Sys.Net.Send(d.ID, src, class, size, m)
 	default:
 		panic(fmt.Sprintf("wb: dir %v commits message kind %d", d.ID, m.Kind))
@@ -299,12 +254,10 @@ func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 		c.Exec = c.exec
 		c.step = c.Step
 		c.writeBack = c.sendWriteBack
-		c.atomicBusy = func() bool { return c.atomicTag != 0 }
-		c.mshrFull = func() bool { return c.st.MSHR >= c.cfg.MSHRs }
+		c.Waiting = func() bool { return c.st.Blocked(c.cfg.MSHRs, c.Wait) }
+		c.OnReply = c.onReply
 		c.fetching = func() bool { return c.st.Fetching(c.fetchLine) }
-		c.cannotFlush = func() bool { return !c.st.CanFlush() }
-		c.undrained = func() bool { return !c.st.Drained() }
-		sys.Net.Register(id, c.handle)
+		sys.Net.Register(id, c.Handle)
 		cpus[i] = c
 	}
 	return cpus

@@ -236,6 +236,15 @@ func (o *Occupancy) Dec() {
 	o.cur--
 }
 
+// Set records the live-entry count becoming n, as a run of Inc or Dec
+// would.
+func (o *Occupancy) Set(n int) {
+	o.cur = n
+	if n > o.Peak {
+		o.Peak = n
+	}
+}
+
 // Cur returns the current live-entry count.
 func (o *Occupancy) Cur() int { return o.cur }
 

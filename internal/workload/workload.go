@@ -357,10 +357,13 @@ func (p Pattern) Sources(nc noc.Config) ([]noc.NodeID, []proto.OpSource, error) 
 
 // Micro returns the §5.3 sensitivity micro-benchmark: a single producer
 // thread repeatedly writing write-through stores to other hosts' memory.
+// The producer's host plus its fan-out make the host count; a fan-out below
+// 1 still gets two hosts, so Validate reports the fan-out, not a host count
+// derived from it.
 func Micro(storeGran, syncGran, fanout, rounds int) Pattern {
 	return Pattern{
 		Name:         fmt.Sprintf("micro/s%d/y%d/f%d", storeGran, syncGran, fanout),
-		Hosts:        fanout + 1,
+		Hosts:        max(fanout+1, 2),
 		Rounds:       rounds,
 		RelaxedBytes: storeGran,
 		SyncBytes:    syncGran,

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"strings"
 	"testing"
 
 	"cord/internal/memsys"
@@ -483,5 +485,18 @@ func TestSourceNextZeroAlloc(t *testing.T) {
 	}
 	if _, ok := src.(proto.CoreAttachable); ok {
 		t.Fatal("a Table 2 source must not take a core's engine or recorder")
+	}
+}
+
+// TestMicroFanoutErrorNamesFanout: Micro derives its host count from the
+// fan-out, so a fan-out below 1 must be reported as the fan-out, the value
+// the caller set, not as a host count.
+func TestMicroFanoutErrorNamesFanout(t *testing.T) {
+	for _, f := range []int{0, -2} {
+		err := Micro(64, 4096, f, 10).Validate()
+		want := fmt.Sprintf("Fanout = %d must be in [1, hosts-1]", f)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("fanout %d: err %v, want it to contain %q", f, err, want)
+		}
 	}
 }
